@@ -205,7 +205,7 @@ CDatabase MaterializedView::Materialized() const {
 }
 
 CTable MaterializedView::Answers() const {
-  assert(goal_.has_value());
+  if (!goal_.has_value()) return CTable(0);
   ConditionInterner& interner = fix_->interner();
   CTable result = RestrictTableToGoal(fix_->Export(goal_table_),
                                       goal_->bindings, global_id_, interner);

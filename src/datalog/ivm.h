@@ -128,8 +128,9 @@ class MaterializedView {
   /// fixpoint — adorned and magic predicates included.
   CDatabase Materialized() const;
 
-  /// Demand views only: the goal's restricted answers, identical to
-  /// DatalogQueryOnCTables on the current base.
+  /// Demand views: the goal's restricted answers, identical to
+  /// DatalogQueryOnCTables on the current base. A full view has no goal and
+  /// returns an empty arity-0 table, in all build modes.
   CTable Answers() const;
 
   /// The maintained base database (updates applied in place).

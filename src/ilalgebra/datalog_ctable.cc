@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "datalog/magic.h"
-#include "ilalgebra/join_plan.h"
 #include "tables/tuple_index.h"
 #include "util/thread_pool.h"
 
@@ -52,6 +51,39 @@ struct PredState {
   uint64_t stamp = 1;
 };
 
+/// One body-atom argument compiled against a fixed join order: a constant,
+/// the first occurrence of a rule variable (binds its slot), or a later one
+/// (matches the row term against the slot's, emitting an equality condition
+/// where the terms are not syntactically equal).
+struct ArgOp {
+  enum Kind : uint8_t { kConst, kBind, kCheck };
+  Kind kind = kConst;
+  // kConst, or kCheck of a slot an earlier atom binds: the position keys an
+  // index probe whenever its value is a constant.
+  bool probe = false;
+  Term constant;     // kConst
+  size_t slot = 0;   // kBind, kCheck
+};
+
+/// One depth of a join order: the body atom enumerated there.
+struct AtomStep {
+  size_t pos = 0;  // body position
+  int pred = 0;
+  std::vector<ArgOp> args;  // one per atom position
+};
+
+/// A rule's join orders, computed once when the fixpoint is built:
+/// `orders[d + 1]` enumerates the firing with delta position d (orders[0]
+/// is the naive firing, d = -1). Rule variables live in flat slots. The
+/// order fixes the depth that binds each slot and deeper depths only read
+/// slots bound above them, so a row visit binds by overwriting its own
+/// depth's slots — no binding map, no copy, no undo.
+struct RulePlan {
+  const DatalogRule* rule = nullptr;
+  size_t num_slots = 0;
+  std::vector<std::vector<AtomStep>> orders;
+};
+
 struct EvalState {
   ConditionInterner* interner = nullptr;
   // The condition representation rows travel in (owned by the Impl). `dd`
@@ -74,14 +106,18 @@ struct EvalState {
   size_t work = 0;
   bool aborted = false;
 
+  // Unmetered (no budget) it writes nothing, so parallel generation workers
+  // share it race-free.
   void ChargeWork(size_t units) {
+    if (max_derived_rows == 0) return;
     work += units;
-    if (max_derived_rows != 0 && work >= 64 * max_derived_rows) {
+    if (work >= 64 * max_derived_rows) {
       aborted = true;
       stats.budget_exhausted = true;
     }
   }
   std::vector<PredState> preds;
+  std::vector<RulePlan> plans;  // one per program rule
   ConditionedFixpointStats stats;
 
   bool IsMagicPred(int pred) const {
@@ -200,34 +236,16 @@ bool MatchArgs(const Tuple& args, const Tuple& row,
   return true;
 }
 
-/// The up-to-date index of `pred`'s rows on `cols`. Rows are append-only
-/// between ClearPredicate calls, so the cache usually just extends; a Clear
-/// bumps the predicate's stamp and the entry rebuilds. Builds and extends
-/// are counted separately into the stats, so a mid-query catch-up after an
-/// append is never mistaken for (or double-counted as) a rebuild.
-const TupleIndex& IndexFor(EvalState& state, int pred,
-                           const std::vector<int>& cols) {
-  PredState& ps = state.preds[pred];
-  size_t builds_before = ps.indexes.stats().builds;
-  size_t extends_before = ps.indexes.stats().extends;
-  const TupleIndex& index = ps.indexes.Get(
-      cols, ps.rows.size(), ps.stamp,
-      [&ps](size_t i) -> const Tuple& { return *ps.rows[i].tuple; });
-  state.stats.index_builds += ps.indexes.stats().builds - builds_before;
-  state.stats.index_extends += ps.indexes.stats().extends - extends_before;
-  return index;
-}
-
 /// The order-canonical (head, condition) of one matched body combination —
-/// the leaf computation of the join, shared by the sequential FireRule and
-/// the parallel generator. Re-derives the binding and equality conditions
-/// in *body order* from the matched rows: which atom a shared variable's
-/// representative term comes from depends on the order the atoms were
-/// matched, and rows with nulls make rep-equivalent representatives
-/// syntactically different — so the emitted pair must be computed
-/// order-canonically, or evaluation schedules with different delta windows
-/// (incremental resume vs from-scratch, parallel slices) would derive
-/// different rows and break their identity.
+/// the leaf computation of the join kernel. Re-derives the binding and
+/// equality conditions in *body order* from the matched rows: which atom a
+/// shared variable's representative term comes from depends on the order
+/// the atoms were matched (a firing's join order puts its delta atom first),
+/// and rows with nulls make rep-equivalent representatives syntactically
+/// different — so the emitted pair must be computed order-canonically, or
+/// evaluation schedules with different delta windows (incremental resume vs
+/// from-scratch, parallel slices) would derive different rows and break
+/// their identity.
 void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
                    const std::vector<const Tuple*>& matched,
                    const std::vector<CondId>& matched_cond, Tuple* head,
@@ -252,119 +270,271 @@ void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
   *cond = out;
 }
 
-/// Fires one rule, inserting head derivations. With `delta_pos < 0` (naive)
-/// every body position ranges over the full row list as of loop entry. With
-/// `delta_pos >= 0` (semi-naive) position delta_pos ranges over its
-/// predicate's delta, earlier positions over pre-delta rows only and later
-/// ones over everything up to the delta end — so each combination with at
-/// least one delta row is enumerated exactly once per round. A body atom
-/// with bound, constant-valued positions enumerates its range through the
-/// predicate's hash index on those positions instead of scanning it (same
-/// rows, same order; positions bound to a null fall back to the scan since
-/// a null matches any row under a condition). The local condition travels
-/// as an interned id: conjunction is the memoized And and a branch whose
-/// partial condition cannot hold (on its own or with the global condition)
-/// is cut immediately. Returns true if anything was added.
-bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
-  ConditionInterner& interner = *state.interner;
-  ConditionBackend& backend = *state.backend;
-  bool added = false;
-  // Branches cut while deriving a magic (demand) predicate are demand that
-  // can never hold — counted separately as demand_pruned.
-  const bool magic_head = state.IsMagicPred(rule.head.predicate);
-  std::map<VarId, Term> binding;
+/// The greedy join order of `rule`: the delta atom first (none when
+/// `delta_pos` is negative; its window is the smallest range by
+/// construction, often a single seeded row), then repeatedly the unplaced
+/// atom with the most bound positions — constants, or variables bound by
+/// atoms already placed — ties broken in body order. Each placed atom binds
+/// variables that turn later atoms' scans into keyed index probes, so the
+/// most-bound atom is the cheapest next step; for a guarded magic rule
+/// `p#bf(X,Y) :- m.p#bf(X), e(X,Z), p#bf(Z,Y)` with the delta on p#bf, the
+/// order is p#bf, e (keyed on Z), m.p#bf (keyed on X), where body order
+/// would scan the unkeyed guard second.
+std::vector<AtomStep> OrderBody(const DatalogRule& rule, int delta_pos,
+                                const std::map<VarId, size_t>& slot_of) {
+  const size_t n = rule.body.size();
+  std::vector<bool> placed(n, false);
+  std::vector<int> bound_at(slot_of.size(), -1);  // slot -> binding depth
+  std::vector<AtomStep> steps;
+  for (int depth = 0; depth < static_cast<int>(n); ++depth) {
+    size_t best = n;
+    size_t best_bound = 0;
+    if (depth == 0 && delta_pos >= 0) {
+      best = static_cast<size_t>(delta_pos);
+    } else {
+      for (size_t p = 0; p < n; ++p) {
+        if (placed[p]) continue;
+        size_t bound = 0;
+        for (const Term& t : rule.body[p].args) {
+          if (t.is_constant() || bound_at[slot_of.at(t.variable())] >= 0) {
+            ++bound;
+          }
+        }
+        if (best == n || bound > best_bound) {
+          best = p;
+          best_bound = bound;
+        }
+      }
+    }
+    placed[best] = true;
+    AtomStep step{best, rule.body[best].predicate, {}};
+    for (const Term& t : rule.body[best].args) {
+      ArgOp op;
+      if (t.is_constant()) {
+        op.probe = true;
+        op.constant = t;
+      } else {
+        op.slot = slot_of.at(t.variable());
+        int& at = bound_at[op.slot];
+        op.kind = at < 0 ? ArgOp::kBind : ArgOp::kCheck;
+        op.probe = at >= 0 && at < depth;
+        if (at < 0) at = depth;
+      }
+      step.args.push_back(op);
+    }
+    steps.push_back(std::move(step));
+  }
+  return steps;
+}
 
-  // Enumerate the delta atom first, then the rest in body order. The delta
-  // window is the smallest range by construction (often a single seeded
-  // row), and binding its variables up front turns the other atoms' scans
-  // into keyed index probes — O(matches) instead of O(rows) per delta row.
-  // A pure permutation of the enumeration order: the combination set is
-  // unchanged.
-  std::vector<size_t> order(rule.body.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (delta_pos > 0) {
-    std::rotate(order.begin(), order.begin() + delta_pos,
-                order.begin() + delta_pos + 1);
+RulePlan PlanRule(const DatalogRule& rule) {
+  RulePlan plan;
+  plan.rule = &rule;
+  std::map<VarId, size_t> slot_of;
+  for (const DatalogAtom& atom : rule.body) {
+    for (const Term& t : atom.args) {
+      if (t.is_variable()) slot_of.emplace(t.variable(), slot_of.size());
+    }
+  }
+  plan.num_slots = slot_of.size();
+  for (int d = -1; d < static_cast<int>(rule.body.size()); ++d) {
+    plan.orders.push_back(OrderBody(rule, d, slot_of));
+  }
+  return plan;
+}
+
+/// The rows one join depth enumerates: a keyed candidate list (ascending
+/// row ids) or the scan range [lo, hi).
+struct StepRows {
+  bool keyed = false;
+  size_t lo = 0;
+  size_t hi = 0;
+  std::vector<size_t> ids;
+
+  size_t Count() const { return keyed ? ids.size() : hi - lo; }
+  size_t Id(size_t k) const { return keyed ? ids[k] : lo + k; }
+};
+
+/// A source row of a derivation: (predicate, row index).
+using RowRef = std::pair<int, size_t>;
+
+/// The join enumeration of one rule firing, shared by the sequential and the
+/// parallel rounds; they differ only in the leaf action, the index caches
+/// and the stats sink. With `delta_pos < 0` (naive) every body position
+/// ranges over its predicate's full row list as of its loop entry. With
+/// `delta_pos >= 0` (semi-naive) position delta_pos ranges over its
+/// predicate's delta, earlier body positions over pre-delta rows only and
+/// later ones over everything up to the delta end — so each combination
+/// with at least one delta row is enumerated exactly once per round,
+/// whatever the enumeration order (the rule plan's greedy order; the
+/// windows go by body position, not depth). An atom with bound,
+/// constant-valued positions enumerates its range through the predicate's
+/// hash index on those positions instead of scanning it (same rows, same
+/// order; positions bound to a null fall back to the scan since a null
+/// matches any row under a condition). The partial condition travels as a
+/// backend id, and a branch whose condition cannot hold together with the
+/// global condition is cut immediately.
+class JoinKernel {
+ public:
+  /// Receives each combination's order-canonical (head, condition) and its
+  /// source row per enumeration depth.
+  using Leaf = std::function<void(Tuple, CondId, const std::vector<RowRef>&)>;
+
+  /// `worker_indexes` (one cache per predicate) replaces the predicates'
+  /// shared index caches when set; join-side counters go to `stats`.
+  JoinKernel(EvalState& state, const RulePlan& plan, int delta_pos,
+             ConditionedFixpointStats& stats,
+             std::vector<TupleIndexCache>* worker_indexes, Leaf leaf)
+      : state_(state),
+        rule_(*plan.rule),
+        steps_(plan.orders[static_cast<size_t>(delta_pos + 1)]),
+        delta_pos_(delta_pos),
+        stats_(stats),
+        worker_indexes_(worker_indexes),
+        leaf_(std::move(leaf)),
+        magic_head_(state.IsMagicPred(plan.rule->head.predicate)),
+        slots_(plan.num_slots),
+        matched_(plan.rule->body.size(), nullptr),
+        matched_cond_(plan.rule->body.size(), ConditionBackend::kTrueCond),
+        sources_(plan.rule->body.size()) {}
+
+  /// The rows `depth` enumerates under the slots bound above it. A probe's
+  /// candidate ids are a snapshot: an Insert deeper in the recursion may
+  /// extend this very index (and any row vector) mid-iteration.
+  StepRows Rows(size_t depth) {
+    const AtomStep& step = steps_[depth];
+    PredState& ps = state_.preds[static_cast<size_t>(step.pred)];
+    StepRows rows;
+    if (delta_pos_ < 0) {
+      rows.hi = ps.rows.size();
+    } else if (static_cast<int>(step.pos) == delta_pos_) {
+      rows.lo = ps.delta_begin;
+      rows.hi = ps.delta_end;
+    } else {
+      rows.hi = static_cast<int>(step.pos) < delta_pos_ ? ps.delta_begin
+                                                         : ps.delta_end;
+    }
+    if (!state_.use_index || rows.lo >= rows.hi) return rows;
+    probe_cols_.clear();
+    probe_key_.clear();
+    for (size_t i = 0; i < step.args.size(); ++i) {
+      const ArgOp& op = step.args[i];
+      if (!op.probe) continue;
+      Term value = op.kind == ArgOp::kConst ? op.constant : slots_[op.slot];
+      if (!value.is_constant()) continue;
+      probe_cols_.push_back(static_cast<int>(i));
+      probe_key_.push_back(value);
+    }
+    if (probe_cols_.empty()) return rows;
+    TupleIndexCache& cache =
+        worker_indexes_ != nullptr
+            ? (*worker_indexes_)[static_cast<size_t>(step.pred)]
+            : ps.indexes;
+    const size_t builds_before = cache.stats().builds;
+    const size_t extends_before = cache.stats().extends;
+    rows.ids = cache
+                   .Get(probe_cols_, ps.rows.size(), ps.stamp,
+                        [&ps](size_t i) -> const Tuple& {
+                          return *ps.rows[i].tuple;
+                        })
+                   .Candidates(probe_key_, rows.lo, rows.hi);
+    stats_.index_builds += cache.stats().builds - builds_before;
+    stats_.index_extends += cache.stats().extends - extends_before;
+    ++stats_.index_probes;
+    stats_.index_hits += rows.ids.size();
+    rows.keyed = true;
+    return rows;
   }
 
-  // The matched row (tuple pointer and condition) per *body* position —
-  // tuple pointers are stable (they point at by_tuple keys, a node-based
-  // map), so capturing them across the recursion is safe even when Insert
-  // grows the row vectors.
-  std::vector<const Tuple*> matched(rule.body.size(), nullptr);
-  std::vector<CondId> matched_cond(rule.body.size(),
-                                   ConditionBackend::kTrueCond);
-
-  std::function<void(size_t, CondId)> go = [&](size_t depth, CondId acc) {
-    if (state.aborted) return;
-    if (depth == rule.body.size()) {
-      Tuple head;
-      CondId cond = ConditionBackend::kTrueCond;
-      CanonicalLeaf(rule, backend, matched, matched_cond, &head, &cond);
-      added |= Insert(state, rule.head.predicate, std::move(head), cond);
+  /// Matches row `idx` at `depth` under the partial condition `acc` and, if
+  /// the branch can hold, enumerates the depths below it.
+  void Visit(size_t depth, size_t idx, CondId acc) {
+    state_.ChargeWork(1);
+    const AtomStep& step = steps_[depth];
+    const IRow& row = state_.preds[static_cast<size_t>(step.pred)].rows[idx];
+    if (!row.alive) return;
+    // Copied out: an Insert below may reallocate the row vector. The tuple
+    // itself is a by_tuple key (node-based map), so its address is stable.
+    const Tuple* tuple = row.tuple;
+    const CondId row_cond = row.cond;
+    Conjunction eqs;
+    for (size_t i = 0; i < step.args.size(); ++i) {
+      const ArgOp& op = step.args[i];
+      if (op.kind == ArgOp::kBind) {
+        slots_[op.slot] = (*tuple)[i];
+        continue;
+      }
+      CondAtom eq = Eq(op.kind == ArgOp::kConst ? op.constant : slots_[op.slot],
+                       (*tuple)[i]);
+      if (IsTriviallyFalse(eq)) return;
+      if (!IsTriviallyTrue(eq)) eqs.Add(eq);
+    }
+    ConditionBackend& backend = *state_.backend;
+    CondId next = backend.And(acc, row_cond);
+    if (eqs.size() > 0) {
+      next = backend.And(next, backend.FromConj(state_.interner->Intern(eqs)));
+    }
+    if (!backend.SatisfiableWith(state_.global_id, next)) {
+      ++stats_.pruned_branches;  // never-on prefix: cut the subtree
+      // Branches cut while deriving a magic (demand) predicate are demand
+      // that can never hold.
+      if (magic_head_) ++stats_.demand_pruned;
       return;
     }
-    const size_t pos = order[depth];
-    const DatalogAtom& atom = rule.body[pos];
-    PredState& ps = state.preds[atom.predicate];
-    size_t lo = 0;
-    size_t hi;
-    if (delta_pos < 0) {
-      hi = ps.rows.size();
-    } else if (static_cast<int>(pos) == delta_pos) {
-      lo = ps.delta_begin;
-      hi = ps.delta_end;
-    } else if (static_cast<int>(pos) < delta_pos) {
-      hi = ps.delta_begin;
-    } else {
-      hi = ps.delta_end;
+    matched_[step.pos] = tuple;
+    matched_cond_[step.pos] = row_cond;
+    sources_[depth] = {step.pred, idx};
+    Descend(depth + 1, next);
+  }
+
+  /// Enumerates `depth` and everything below it; past the last depth, emits
+  /// the combination to the leaf.
+  void Descend(size_t depth, CondId acc) {
+    if (state_.aborted) return;
+    if (depth == steps_.size()) {
+      Tuple head;
+      CondId cond = ConditionBackend::kTrueCond;
+      CanonicalLeaf(rule_, *state_.backend, matched_, matched_cond_, &head,
+                    &cond);
+      leaf_(std::move(head), cond, sources_);
+      return;
     }
-    // The atom's probe plan under the current binding (the shared planning
-    // layer, ilalgebra/join_plan.h): its bound, constant-valued positions
-    // key a probe into the predicate's index. A variable bound to a null is
-    // treated as unbound for keying (its row match adds an equality
-    // condition instead of filtering).
-    std::vector<size_t> candidates;
-    bool keyed = false;
-    if (state.use_index && lo < hi) {
-      AtomProbePlan probe = PlanAtomProbe(atom.args, binding);
-      if (!probe.cols.empty()) {
-        // Snapshot the candidate ids: a Insert deeper in the recursion may
-        // extend this very index (and any row vector) mid-iteration.
-        candidates = IndexFor(state, atom.predicate, probe.cols)
-                         .Candidates(probe.key, lo, hi);
-        ++state.stats.index_probes;
-        state.stats.index_hits += candidates.size();
-        keyed = true;
-      }
+    StepRows rows = Rows(depth);
+    for (size_t k = 0; k < rows.Count() && !state_.aborted; ++k) {
+      Visit(depth, rows.Id(k), acc);
     }
-    // Index-based: Insert may append to (and reallocate) any row vector.
-    size_t count = keyed ? candidates.size() : hi - lo;
-    for (size_t k = 0; k < count && !state.aborted; ++k) {
-      size_t idx = keyed ? candidates[k] : lo + k;
-      state.ChargeWork(1);
-      if (!ps.rows[idx].alive) continue;
-      CondId row_cond = ps.rows[idx].cond;
-      auto saved_binding = binding;
-      Conjunction eqs;
-      if (MatchArgs(atom.args, *ps.rows[idx].tuple, binding, eqs)) {
-        CondId next = backend.And(acc, row_cond);
-        if (eqs.size() > 0) {
-          next = backend.And(next, backend.FromConj(interner.Intern(eqs)));
-        }
-        if (!backend.SatisfiableWith(state.global_id, next)) {
-          ++state.stats.pruned_branches;  // never-on prefix: cut the subtree
-          if (magic_head) ++state.stats.demand_pruned;
-        } else {
-          matched[pos] = ps.rows[idx].tuple;
-          matched_cond[pos] = row_cond;
-          go(depth + 1, next);
-        }
-      }
-      binding = std::move(saved_binding);
-    }
-  };
-  go(0, ConditionBackend::kTrueCond);
+  }
+
+ private:
+  EvalState& state_;
+  const DatalogRule& rule_;
+  const std::vector<AtomStep>& steps_;
+  const int delta_pos_;
+  ConditionedFixpointStats& stats_;
+  std::vector<TupleIndexCache>* const worker_indexes_;
+  const Leaf leaf_;
+  const bool magic_head_;
+  std::vector<Term> slots_;
+  // The matched row per *body* position (CanonicalLeaf's input) and per
+  // enumeration depth (the parallel replay's sources).
+  std::vector<const Tuple*> matched_;
+  std::vector<CondId> matched_cond_;
+  std::vector<RowRef> sources_;
+  // Rows() scratch, consumed before the recursion re-enters it.
+  std::vector<int> probe_cols_;
+  Tuple probe_key_;
+};
+
+/// Fires one rule sequentially, inserting head derivations as they are
+/// enumerated. Returns true if anything was added.
+bool FireRule(EvalState& state, const RulePlan& plan, int delta_pos) {
+  bool added = false;
+  JoinKernel kernel(state, plan, delta_pos, state.stats, nullptr,
+                    [&](Tuple head, CondId cond, const std::vector<RowRef>&) {
+                      added |= Insert(state, plan.rule->head.predicate,
+                                      std::move(head), cond);
+                    });
+  kernel.Descend(0, ConditionBackend::kTrueCond);
   return added;
 }
 
@@ -383,10 +553,10 @@ void AdvanceDeltas(EvalState& state) {
 // A round with num_threads > 1 splits into two phases:
 //
 //   *Generate* (parallel): each rule/delta-position firing's outer (delta)
-//   range is sliced across the worker pool. Workers enumerate the join
-//   exactly like FireRule — same windows, same index probes (through
-//   per-worker index caches), same satisfiability cuts — but instead of
-//   inserting at the leaf they record a Candidate: the order-canonical
+//   range is sliced across the worker pool. Workers run the same
+//   JoinKernel as FireRule — same join order, windows, index probes
+//   (through per-worker index caches) and satisfiability cuts — but instead
+//   of inserting at the leaf they record a Candidate: the order-canonical
 //   (head, condition) plus the source row per enumeration depth. The round
 //   state is frozen during this phase (inserts only happen in replay), so
 //   workers race on nothing; the interner must be in shared mode.
@@ -411,38 +581,26 @@ void AdvanceDeltas(EvalState& state) {
 // are dropped; the survivors are exactly the sequential insert sequence.
 
 /// One candidate derivation: the order-canonical head row plus the source
-/// row per enumeration (rotated) depth it was derived through.
+/// row per enumeration depth it was derived through.
 struct Candidate {
   Tuple head;
   CondId cond = ConditionBackend::kTrueCond;
-  std::vector<std::pair<int, size_t>> sources;  // (pred, row idx) per depth
+  std::vector<RowRef> sources;
 };
 
 /// Per-worker generation state: private index caches (sharing the
-/// PredState caches would race their lazy builds) and local stat counters,
-/// merged after the generation barrier.
+/// PredState caches would race their lazy builds) and the join-side stat
+/// counters, merged after the generation barrier.
 struct WorkerScratch {
   std::vector<TupleIndexCache> indexes;  // one per predicate
-  size_t pruned_branches = 0;
-  size_t demand_pruned = 0;
-  size_t index_probes = 0;
-  size_t index_hits = 0;
-  size_t index_builds = 0;
-  size_t index_extends = 0;
+  ConditionedFixpointStats stats;
 };
 
-/// One rule/delta-position firing of the round: the depth-0 enumeration is
-/// either the keyed candidate list `outer` or the scan range [lo, hi).
+/// One rule/delta-position firing of the round with its depth-0 rows.
 struct Firing {
-  const DatalogRule* rule = nullptr;
+  const RulePlan* plan = nullptr;
   int delta_pos = 0;
-  bool keyed = false;
-  size_t lo = 0;
-  size_t hi = 0;
-  std::vector<size_t> outer;
-
-  size_t OuterCount() const { return keyed ? outer.size() : hi - lo; }
-  size_t OuterId(size_t k) const { return keyed ? outer[k] : lo + k; }
+  StepRows outer;
 };
 
 /// A contiguous chunk of one firing's outer range, the unit of work
@@ -454,136 +612,12 @@ struct GenSlice {
   std::vector<Candidate> out;
 };
 
-/// Generation-phase FireRule: enumerates outer ids [begin, end) of `firing`
-/// with the same windows, probe plans, and satisfiability cuts as the
-/// sequential engine, emitting Candidates instead of inserting. Read-only
-/// on the round state. Runs with the budget disabled (parallel mode forces
-/// max_derived_rows == 0), so there is no work metering here.
-void GenerateSlice(EvalState& state, WorkerScratch& ws, const Firing& firing,
-                   size_t begin, size_t end, std::vector<Candidate>& out) {
-  ConditionInterner& interner = *state.interner;
-  ConditionBackend& backend = *state.backend;
-  const DatalogRule& rule = *firing.rule;
-  const int delta_pos = firing.delta_pos;
-  const bool magic_head = state.IsMagicPred(rule.head.predicate);
-  std::map<VarId, Term> binding;
-
-  std::vector<size_t> order(rule.body.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (delta_pos > 0) {
-    std::rotate(order.begin(), order.begin() + delta_pos,
-                order.begin() + delta_pos + 1);
-  }
-
-  std::vector<const Tuple*> matched(rule.body.size(), nullptr);
-  std::vector<CondId> matched_cond(rule.body.size(),
-                                   ConditionBackend::kTrueCond);
-  std::vector<std::pair<int, size_t>> sources(rule.body.size());
-
-  std::function<void(size_t, CondId)> go = [&](size_t depth, CondId acc) {
-    if (depth == rule.body.size()) {
-      Candidate c;
-      CanonicalLeaf(rule, backend, matched, matched_cond, &c.head, &c.cond);
-      c.sources = sources;
-      out.push_back(std::move(c));
-      return;
-    }
-    const size_t pos = order[depth];
-    const DatalogAtom& atom = rule.body[pos];
-    PredState& ps = state.preds[atom.predicate];
-    size_t lo = 0;
-    size_t hi;
-    if (static_cast<int>(pos) == delta_pos) {
-      lo = ps.delta_begin;
-      hi = ps.delta_end;
-    } else if (static_cast<int>(pos) < delta_pos) {
-      hi = ps.delta_begin;
-    } else {
-      hi = ps.delta_end;
-    }
-    std::vector<size_t> candidates;
-    bool keyed = false;
-    if (depth == 0) {
-      // The dispatcher already planned (and probed) the outer range; this
-      // slice walks its [begin, end) chunk.
-      for (size_t k = begin; k < end; ++k) {
-        size_t idx = firing.OuterId(k);
-        if (!ps.rows[idx].alive) continue;
-        CondId row_cond = ps.rows[idx].cond;
-        auto saved_binding = binding;
-        Conjunction eqs;
-        if (MatchArgs(atom.args, *ps.rows[idx].tuple, binding, eqs)) {
-          CondId next = backend.And(acc, row_cond);
-          if (eqs.size() > 0) {
-            next = backend.And(next, backend.FromConj(interner.Intern(eqs)));
-          }
-          if (!backend.SatisfiableWith(state.global_id, next)) {
-            ++ws.pruned_branches;
-            if (magic_head) ++ws.demand_pruned;
-          } else {
-            matched[pos] = ps.rows[idx].tuple;
-            matched_cond[pos] = row_cond;
-            sources[depth] = {atom.predicate, idx};
-            go(depth + 1, next);
-          }
-        }
-        binding = std::move(saved_binding);
-      }
-      return;
-    }
-    if (state.use_index && lo < hi) {
-      AtomProbePlan probe = PlanAtomProbe(atom.args, binding);
-      if (!probe.cols.empty()) {
-        TupleIndexCache& cache = ws.indexes[atom.predicate];
-        size_t builds_before = cache.stats().builds;
-        size_t extends_before = cache.stats().extends;
-        candidates =
-            cache
-                .Get(probe.cols, ps.rows.size(), ps.stamp,
-                     [&ps](size_t i) -> const Tuple& {
-                       return *ps.rows[i].tuple;
-                     })
-                .Candidates(probe.key, lo, hi);
-        ws.index_builds += cache.stats().builds - builds_before;
-        ws.index_extends += cache.stats().extends - extends_before;
-        ++ws.index_probes;
-        ws.index_hits += candidates.size();
-        keyed = true;
-      }
-    }
-    size_t count = keyed ? candidates.size() : hi - lo;
-    for (size_t k = 0; k < count; ++k) {
-      size_t idx = keyed ? candidates[k] : lo + k;
-      if (!ps.rows[idx].alive) continue;
-      CondId row_cond = ps.rows[idx].cond;
-      auto saved_binding = binding;
-      Conjunction eqs;
-      if (MatchArgs(atom.args, *ps.rows[idx].tuple, binding, eqs)) {
-        CondId next = backend.And(acc, row_cond);
-        if (eqs.size() > 0) {
-          next = backend.And(next, backend.FromConj(interner.Intern(eqs)));
-        }
-        if (!backend.SatisfiableWith(state.global_id, next)) {
-          ++ws.pruned_branches;
-          if (magic_head) ++ws.demand_pruned;
-        } else {
-          matched[pos] = ps.rows[idx].tuple;
-          matched_cond[pos] = row_cond;
-          sources[depth] = {atom.predicate, idx};
-          go(depth + 1, next);
-        }
-      }
-      binding = std::move(saved_binding);
-    }
-  };
-  go(0, ConditionBackend::kTrueCond);
-}
 
 /// The visit-time liveness protocol of the replay phase (see the section
 /// comment): per-depth decisions cached against the previous candidate's
 /// source prefix, re-evaluated from the first differing depth.
 struct ReplayLiveness {
-  std::vector<std::pair<int, size_t>> prev;
+  std::vector<RowRef> prev;
   std::vector<char> decision;  // decision[d]: source d alive when visited
 
   bool Admit(const EvalState& state, const Candidate& c) {
@@ -605,31 +639,18 @@ struct ReplayLiveness {
   }
 };
 
-/// Replays one firing's candidates (concatenated slices, already in
-/// enumeration order) through the unchanged Insert. Returns true if any row
-/// was added.
-bool ReplaySlice(EvalState& state, const DatalogRule& rule,
-                 std::vector<Candidate>& candidates, ReplayLiveness& live) {
-  bool added = false;
-  for (Candidate& c : candidates) {
-    if (!live.Admit(state, c)) continue;
-    added |= Insert(state, rule.head.predicate, std::move(c.head), c.cond);
-  }
-  return added;
-}
-
 /// One sequential semi-naive round over the listed rules (in list order):
 /// fires each rule once per body position whose predicate has a nonempty
 /// delta window. Returns true if any row was added.
-bool SequentialRound(EvalState& state, const DatalogProgram& program,
-                     const std::vector<size_t>& rule_ids) {
+bool SequentialRound(EvalState& state, const std::vector<size_t>& rule_ids) {
   bool changed = false;
   for (size_t r : rule_ids) {
-    const DatalogRule& rule = program.rules()[r];
-    for (size_t pos = 0; pos < rule.body.size() && !state.aborted; ++pos) {
-      const PredState& ps = state.preds[rule.body[pos].predicate];
+    const RulePlan& plan = state.plans[r];
+    for (size_t pos = 0; pos < plan.rule->body.size() && !state.aborted;
+         ++pos) {
+      const PredState& ps = state.preds[plan.rule->body[pos].predicate];
       if (ps.delta_begin == ps.delta_end) continue;
-      changed |= FireRule(state, rule, static_cast<int>(pos));
+      changed |= FireRule(state, plan, static_cast<int>(pos));
     }
   }
   return changed;
@@ -640,36 +661,23 @@ bool SequentialRound(EvalState& state, const DatalogProgram& program,
 /// depth-0 probe planning (counted into the same stats), with generation
 /// fanned out over `pool` and a sequential replay. Returns true if any row
 /// was added.
-bool ParallelRound(EvalState& state, const DatalogProgram& program,
-                   const std::vector<size_t>& rule_ids, ThreadPool& pool,
-                   std::vector<WorkerScratch>& scratch) {
+bool ParallelRound(EvalState& state, const std::vector<size_t>& rule_ids,
+                   ThreadPool& pool, std::vector<WorkerScratch>& scratch) {
   std::vector<Firing> firings;
   size_t total_outer = 0;
   for (size_t r : rule_ids) {
-    const DatalogRule& rule = program.rules()[r];
-    for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-      PredState& ps = state.preds[rule.body[pos].predicate];
+    const RulePlan& plan = state.plans[r];
+    for (size_t pos = 0; pos < plan.rule->body.size(); ++pos) {
+      const PredState& ps = state.preds[plan.rule->body[pos].predicate];
       if (ps.delta_begin == ps.delta_end) continue;
-      Firing f;
-      f.rule = &rule;
-      f.delta_pos = static_cast<int>(pos);
-      // The rotated order puts the delta atom at depth 0, so the outer
-      // range is always the delta window.
-      f.lo = ps.delta_begin;
-      f.hi = ps.delta_end;
-      if (state.use_index) {
-        // Depth-0 probe plan under the empty binding, through the shared
-        // per-predicate cache — one probe per firing, like FireRule.
-        AtomProbePlan probe = PlanAtomProbe(rule.body[pos].args, {});
-        if (!probe.cols.empty()) {
-          f.outer = IndexFor(state, rule.body[pos].predicate, probe.cols)
-                        .Candidates(probe.key, f.lo, f.hi);
-          ++state.stats.index_probes;
-          state.stats.index_hits += f.outer.size();
-          f.keyed = true;
-        }
-      }
-      total_outer += f.OuterCount();
+      // Every firing's join order puts its delta atom at depth 0, so the
+      // outer rows are the delta window (or its keyed subset, probed through
+      // the shared per-predicate cache — one probe per firing, like
+      // FireRule).
+      Firing f{&plan, static_cast<int>(pos), {}};
+      f.outer = JoinKernel(state, plan, f.delta_pos, state.stats, nullptr, {})
+                    .Rows(0);
+      total_outer += f.outer.Count();
       firings.push_back(std::move(f));
     }
   }
@@ -680,37 +688,52 @@ bool ParallelRound(EvalState& state, const DatalogProgram& program,
   size_t target = pool.num_threads() * 4;
   size_t chunk = total_outer / target + 1;
   for (size_t fi = 0; fi < firings.size(); ++fi) {
-    size_t n = firings[fi].OuterCount();
+    size_t n = firings[fi].outer.Count();
     for (size_t b = 0; b < n; b += chunk) {
       slices.push_back(GenSlice{fi, b, std::min(b + chunk, n), {}});
     }
   }
 
+  // Generation is read-only on the round state: the kernel's probes go to
+  // the worker's own caches and ChargeWork is unmetered (parallel rounds
+  // run without a budget).
   pool.ParallelFor(slices.size(), [&](size_t si, size_t worker) {
     GenSlice& s = slices[si];
-    GenerateSlice(state, scratch[worker], firings[s.firing], s.begin, s.end,
-                  s.out);
+    const Firing& f = firings[s.firing];
+    JoinKernel kernel(
+        state, *f.plan, f.delta_pos, scratch[worker].stats,
+        &scratch[worker].indexes,
+        [&s](Tuple head, CondId cond, const std::vector<RowRef>& sources) {
+          s.out.push_back(Candidate{std::move(head), cond, sources});
+        });
+    for (size_t k = s.begin; k < s.end; ++k) {
+      kernel.Visit(0, f.outer.Id(k), ConditionBackend::kTrueCond);
+    }
   });
   for (WorkerScratch& ws : scratch) {
-    state.stats.pruned_branches += ws.pruned_branches;
-    state.stats.demand_pruned += ws.demand_pruned;
-    state.stats.index_probes += ws.index_probes;
-    state.stats.index_hits += ws.index_hits;
-    state.stats.index_builds += ws.index_builds;
-    state.stats.index_extends += ws.index_extends;
-    ws.pruned_branches = ws.demand_pruned = 0;
-    ws.index_probes = ws.index_hits = 0;
-    ws.index_builds = ws.index_extends = 0;
+    state.stats.pruned_branches += ws.stats.pruned_branches;
+    state.stats.demand_pruned += ws.stats.demand_pruned;
+    state.stats.index_probes += ws.stats.index_probes;
+    state.stats.index_hits += ws.stats.index_hits;
+    state.stats.index_builds += ws.stats.index_builds;
+    state.stats.index_extends += ws.stats.index_extends;
+    ws.stats = {};
   }
 
+  // Replay each firing's candidates (its slices concatenated, already in
+  // enumeration order) through the unchanged Insert.
   bool changed = false;
   size_t si = 0;
   for (size_t fi = 0; fi < firings.size(); ++fi) {
     // The liveness cache spans one firing — one sequential FireRule call —
     // and resets across firings (a new call re-visits every row afresh).
     ReplayLiveness live;
+    const int head = firings[fi].plan->rule->head.predicate;
     for (; si < slices.size() && slices[si].firing == fi; ++si) {
-      changed |= ReplaySlice(state, *firings[fi].rule, slices[si].out, live);
+      for (Candidate& c : slices[si].out) {
+        if (!live.Admit(state, c)) continue;
+        changed |= Insert(state, head, std::move(c.head), c.cond);
+      }
     }
   }
   return changed;
@@ -874,9 +897,9 @@ struct ConditionedFixpoint::Impl {
             // so one pass over the delta is the fixpoint.
             ++st.stats.rounds;
             if (UseParallelRound()) {
-              ParallelRound(st, *program, live, *pool, scratch);
+              ParallelRound(st, live, *pool, scratch);
             } else {
-              SequentialRound(st, *program, live);
+              SequentialRound(st, live);
             }
           } else {
             bool changed = true;
@@ -884,9 +907,9 @@ struct ConditionedFixpoint::Impl {
               changed = false;
               ++st.stats.rounds;
               if (UseParallelRound()) {
-                changed = ParallelRound(st, *program, live, *pool, scratch);
+                changed = ParallelRound(st, live, *pool, scratch);
               } else {
-                changed = SequentialRound(st, *program, live);
+                changed = SequentialRound(st, live);
               }
               AdvanceDeltas(st);
             }
@@ -925,6 +948,9 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
   state.magic_begin = options.magic_pred_begin;
   state.max_derived_rows = options.max_derived_rows;
   state.preds.resize(program.num_predicates());
+  for (const DatalogRule& rule : program.rules()) {
+    state.plans.push_back(PlanRule(rule));
+  }
   impl_->num_threads = options.num_threads > 1 ? options.num_threads : 1;
   impl_->interner_baseline = state.interner->num_conjunctions();
 }
@@ -971,9 +997,9 @@ void ConditionedFixpoint::FireGroundRules() {
   // Empty-body rules are ground facts: the fixpoint loops only enumerate
   // rules through their body atoms, so these fire here, into the pending
   // delta.
-  for (const DatalogRule& rule : impl_->program->rules()) {
+  for (const RulePlan& plan : state.plans) {
     if (state.aborted) break;
-    if (rule.body.empty()) FireRule(state, rule, /*delta_pos=*/-1);
+    if (plan.rule->body.empty()) FireRule(state, plan, /*delta_pos=*/-1);
   }
 }
 
@@ -998,10 +1024,10 @@ void ConditionedFixpoint::Run() {
       changed = false;
       ++state.stats.rounds;
       if (impl_->UseParallelRound()) {
-        changed = ParallelRound(state, *impl_->program, all_rules,
-                                *impl_->pool, impl_->scratch);
+        changed =
+            ParallelRound(state, all_rules, *impl_->pool, impl_->scratch);
       } else {
-        changed = SequentialRound(state, *impl_->program, all_rules);
+        changed = SequentialRound(state, all_rules);
       }
       AdvanceDeltas(state);
     }
@@ -1010,9 +1036,9 @@ void ConditionedFixpoint::Run() {
     while (changed && !state.aborted) {
       changed = false;
       ++state.stats.rounds;
-      for (const DatalogRule& rule : impl_->program->rules()) {
+      for (const RulePlan& plan : state.plans) {
         if (state.aborted) break;
-        changed |= FireRule(state, rule, /*delta_pos=*/-1);
+        changed |= FireRule(state, plan, /*delta_pos=*/-1);
       }
     }
   }
@@ -1045,10 +1071,10 @@ void ConditionedFixpoint::RunCone(const std::vector<bool>& cone_heads) {
   // without ever advancing them into a window, losing every derivation
   // that joins through them (the next Run()'s leading AdvanceDeltas would
   // discard the pending rows).
-  for (const DatalogRule& rule : impl_->program->rules()) {
+  for (const RulePlan& plan : state.plans) {
     if (state.aborted) break;
-    if (rule.body.empty() && cone_heads[rule.head.predicate]) {
-      FireRule(state, rule, /*delta_pos=*/-1);
+    if (plan.rule->body.empty() && cone_heads[plan.rule->head.predicate]) {
+      FireRule(state, plan, /*delta_pos=*/-1);
     }
   }
   if (impl_->semi_naive && impl_->stratum) {
@@ -1082,10 +1108,10 @@ void ConditionedFixpoint::RunCone(const std::vector<bool>& cone_heads) {
       changed = false;
       ++state.stats.rounds;
       if (impl_->UseParallelRound()) {
-        changed = ParallelRound(state, *impl_->program, cone_rules,
-                                *impl_->pool, impl_->scratch);
+        changed =
+            ParallelRound(state, cone_rules, *impl_->pool, impl_->scratch);
       } else {
-        changed = SequentialRound(state, *impl_->program, cone_rules);
+        changed = SequentialRound(state, cone_rules);
       }
       AdvanceDeltas(state);
     }
@@ -1094,10 +1120,10 @@ void ConditionedFixpoint::RunCone(const std::vector<bool>& cone_heads) {
     while (changed && !state.aborted) {
       changed = false;
       ++state.stats.rounds;
-      for (const DatalogRule& rule : impl_->program->rules()) {
+      for (const RulePlan& plan : state.plans) {
         if (state.aborted) break;
-        if (!cone_heads[rule.head.predicate]) continue;
-        changed |= FireRule(state, rule, /*delta_pos=*/-1);
+        if (!cone_heads[plan.rule->head.predicate]) continue;
+        changed |= FireRule(state, plan, /*delta_pos=*/-1);
       }
     }
     AdvanceDeltas(state);

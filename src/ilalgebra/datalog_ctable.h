@@ -104,11 +104,13 @@ struct DatalogCTableOptions {
   /// constant-valued positions through a per-predicate hash index on those
   /// positions (tables/tuple_index.h) — built lazily on first use and
   /// extended incrementally across fixpoint rounds — instead of scanning the
-  /// predicate's full row range. Positions bound to a null cannot key a
-  /// probe (a null matches any row under a condition) and fall back to the
-  /// scan, as do atoms with no bound position. Enumerates exactly the rows
-  /// the scan would have matched, in the same order. False keeps the
-  /// per-row scan — chiefly for differential tests and benchmarks.
+  /// predicate's full row range. A position is bound by a constant or by an
+  /// atom earlier in the firing's join order (the delta atom, then greedily
+  /// the atom with the most bound positions). Positions bound to a null
+  /// cannot key a probe (a null matches any row under a condition) and fall
+  /// back to the scan, as do atoms with no bound position. Enumerates
+  /// exactly the rows the scan would have matched, in the same order. False
+  /// keeps the per-row scan — chiefly for differential tests and benchmarks.
   bool use_index = true;
 
   /// Optional interner override. Leave null to use

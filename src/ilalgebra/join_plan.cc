@@ -247,20 +247,4 @@ std::vector<JoinStep> OrderJoinSteps(const JoinPlan& plan,
   return steps;
 }
 
-AtomProbePlan PlanAtomProbe(const Tuple& args,
-                            const std::map<VarId, Term>& binding) {
-  AtomProbePlan plan;
-  for (size_t i = 0; i < args.size(); ++i) {
-    Term need = args[i];
-    if (need.is_variable()) {
-      auto it = binding.find(need.variable());
-      if (it == binding.end() || !it->second.is_constant()) continue;
-      need = it->second;
-    }
-    plan.cols.push_back(static_cast<int>(i));
-    plan.key.push_back(need);
-  }
-  return plan;
-}
-
 }  // namespace pw

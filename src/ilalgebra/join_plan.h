@@ -43,17 +43,11 @@
 // join machinery itself is pure candidate pruning: it only skips
 // combinations the selection would have dropped on a trivially-false ground
 // atom (or, interned, an unsatisfiable condition).
-//
-// The conditioned Datalog fixpoint's body-atom matcher plans its probes
-// through this layer too (`PlanAtomProbe`): the bound, constant-valued
-// positions of a body atom under a partial rule binding form the key of a
-// per-predicate index probe.
 
 #ifndef PW_ILALGEBRA_JOIN_PLAN_H_
 #define PW_ILALGEBRA_JOIN_PLAN_H_
 
 #include <cstddef>
-#include <map>
 #include <vector>
 
 #include "core/term.h"
@@ -155,19 +149,6 @@ struct JoinStep {
 /// ties break toward the lower leaf index.
 std::vector<JoinStep> OrderJoinSteps(const JoinPlan& plan,
                                      const std::vector<size_t>& leaf_rows);
-
-/// The bound-position probe of one Datalog body atom under a partial rule
-/// binding: `cols` are the atom positions whose value is a constant (a
-/// constant argument, or a variable the binding maps to a constant — a
-/// variable bound to a null cannot key a probe, since a null matches any
-/// row under a condition), and `key` their values, aligned. Empty cols
-/// means the atom cannot be probed and must scan.
-struct AtomProbePlan {
-  std::vector<int> cols;
-  Tuple key;
-};
-AtomProbePlan PlanAtomProbe(const Tuple& args,
-                            const std::map<VarId, Term>& binding);
 
 }  // namespace pw
 

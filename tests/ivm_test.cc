@@ -286,6 +286,17 @@ TEST(IvmTest, DemandViewServesGoalAnswersUnderUpdates) {
   check();
 }
 
+TEST(IvmTest, FullViewAnswersAreEmpty) {
+  // Answers() on a view without a goal is defined in every build mode: an
+  // empty arity-0 table, with the view left untouched.
+  MaterializedView view(TransitiveClosure(), Chain(3));
+  ASSERT_FALSE(view.is_demand_view());
+  CTable answers = view.Answers();
+  EXPECT_EQ(answers.arity(), 0);
+  EXPECT_EQ(answers.num_rows(), 0u);
+  ExpectMatchesRecompute(view);
+}
+
 TEST(IvmTest, IncrementalBeatsRecomputeOnDerivedRowWork) {
   // The point of the exercise: maintaining a chain's closure across an
   // insert stream must derive far fewer rows than recomputing each time.

@@ -1,12 +1,11 @@
 // Tests for the n-ary join planner (ilalgebra/join_plan.h): prefix
 // flattening over the shapes the binary fusion of PR 3 missed (nested
 // selections, selections above projections of products, products of three
-// or more relations), conjunct partitioning, projection sinking, the greedy
-// step order, and the shared Datalog probe plan.
+// or more relations), conjunct partitioning, projection sinking and the
+// greedy step order.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "ilalgebra/join_plan.h"
@@ -226,18 +225,6 @@ TEST(JoinPlanTest, EveryConjunctIsAppliedExactlyOnce) {
                      plan.conjuncts[i].kind == ConjunctKind::kResidual;
     EXPECT_EQ(seen[i], step_work ? 1 : 0) << "conjunct " << i;
   }
-}
-
-TEST(JoinPlanTest, PlanAtomProbeUsesBoundConstantPositions) {
-  std::map<VarId, Term> binding;
-  binding.emplace(100, C(5));
-  binding.emplace(101, V(3));  // bound to a null: cannot key a probe
-  Tuple args{V(100), C(2), V(101), V(102)};
-  AtomProbePlan plan = PlanAtomProbe(args, binding);
-  EXPECT_EQ(plan.cols, (std::vector<int>{0, 1}));
-  EXPECT_EQ(plan.key, (Tuple{C(5), C(2)}));
-  // No bound constant positions: no probe.
-  EXPECT_TRUE(PlanAtomProbe(Tuple{V(102), V(103)}, binding).cols.empty());
 }
 
 }  // namespace

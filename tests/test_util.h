@@ -15,6 +15,7 @@
 
 #include "core/instance.h"
 #include "core/tuple.h"
+#include "datalog/program.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "tables/ctable.h"
@@ -87,6 +88,34 @@ inline CTable TinyConditionedTable() {
                            {{V(1), V(0)}, Conjunction()}});
   t.SetGlobal(Conjunction{Neq(V(1), C(3))});
   return t;
+}
+
+/// Right-recursive transitive closure, edge = predicate 0, tc = 1:
+/// tc(X,Y) :- edge(X,Y).  tc(X,Y) :- edge(X,Z), tc(Z,Y).
+/// Its magic rewrite for tc(s, ?) guards the recursive rule with three
+/// atoms: tc#bf(X,Y) :- m.tc#bf(X), edge(X,Z), tc#bf(Z,Y).
+inline DatalogProgram RightRecursiveTc() {
+  DatalogProgram p({2, 2}, 1);
+  p.AddRule({{1, {V(0), V(1)}}, {{0, {V(0), V(1)}}}});
+  p.AddRule({{1, {V(0), V(1)}}, {{0, {V(0), V(2)}}, {1, {V(2), V(1)}}}});
+  return p;
+}
+
+/// A forward DAG on `n` nodes with two out-edges per node, at most 6 ahead
+/// (i -> i+1+i%3 and i -> i+4+(i/3)%3, where they stay below n), plus two
+/// edges routed through one shared null: i -> ?x -> i+3 at i = n/3, 2n/3.
+inline CDatabase NullRoutedDag(int n) {
+  CTable t(2);
+  for (int i = 0; i < n; ++i) {
+    for (int j : {i + 1 + i % 3, i + 4 + (i / 3) % 3}) {
+      if (j < n) t.AddRow(Tuple{C(i), C(j)});
+    }
+  }
+  for (int k = 1; k <= 2; ++k) {
+    t.AddRow(Tuple{C(k * n / 3), V(0)});
+    t.AddRow(Tuple{V(0), C(k * n / 3 + 3)});
+  }
+  return CDatabase{t};
 }
 
 /// Renders a world canonically up to renaming of constants outside `known`:
