@@ -88,9 +88,7 @@ struct MaterializedViewOptions {
 /// apply an update to the owned base database *and* fold it into the live
 /// state. Move-only; the interner (options or the thread-local global) must
 /// outlive the view, and the view is single-owner: drive it from one
-/// thread. `options.eval.num_threads > 1` (with a shared interner) only
-/// parallelizes the *internal* fixpoint rounds — the maintained state stays
-/// byte-identical to sequential maintenance.
+/// thread.
 class MaterializedView {
  public:
   /// Full view: maintains every predicate of `program` over `base`.
@@ -108,8 +106,9 @@ class MaterializedView {
 
   /// Inserts the unconditioned ground fact into base predicate `pred` and
   /// folds the insertion forward through the view. An out-of-range `pred`
-  /// (not a base/EDB predicate) is a no-op in all build modes (asserts in
-  /// debug); the same holds for InsertIf (returns false) and Delete.
+  /// (not a base/EDB predicate) or a fact whose arity is not the
+  /// predicate's is a no-op in all build modes (asserts in debug); the same
+  /// holds for InsertIf (returns false) and Delete.
   void Insert(int pred, const Fact& fact);
 
   /// Conditional insertion (rep-wise: the fact joins exactly the worlds
@@ -156,9 +155,10 @@ class MaterializedView {
 
  private:
   void Initialize();
-  /// True iff `pred` names a base (EDB) predicate with a backing table —
-  /// the unconditional precondition of the public update entry points.
-  bool ValidBasePred(int pred) const;
+  /// True iff `pred` names a base (EDB) predicate with a backing table and
+  /// `fact` has its arity — the unconditional precondition of the public
+  /// update entry points.
+  bool ValidUpdate(int pred, const Fact& fact) const;
   /// Head predicates transitively derivable from `pred` (the fixpoint
   /// analysis's precomputed reachability cone, minus the reseeded `pred`
   /// itself), as a num_predicates mask.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -11,7 +10,6 @@
 
 #include "datalog/magic.h"
 #include "tables/tuple_index.h"
-#include "util/thread_pool.h"
 
 namespace pw {
 
@@ -73,8 +71,8 @@ struct AtomStep {
 };
 
 /// A rule's join orders, computed once when the fixpoint is built:
-/// `orders[d + 1]` enumerates the firing with delta position d (orders[0]
-/// is the naive firing, d = -1). Rule variables live in flat slots. The
+/// `orders[d]` enumerates the firing with delta position d. Rule variables
+/// live in flat slots. The
 /// order fixes the depth that binds each slot and deeper depths only read
 /// slots bound above them, so a row visit binds by overwriting its own
 /// depth's slots — no binding map, no copy, no undo.
@@ -92,7 +90,6 @@ struct EvalState {
   ConditionBackend* backend = nullptr;
   bool dd = false;
   ConjId global_id = ConditionInterner::kTrueConj;
-  bool use_index = true;
   // Predicates at or past this id are magic (demand) predicates of a
   // magic-rewritten program; their rows are attributed to the demand
   // counters. -1: none.
@@ -106,8 +103,6 @@ struct EvalState {
   size_t work = 0;
   bool aborted = false;
 
-  // Unmetered (no budget) it writes nothing, so parallel generation workers
-  // share it race-free.
   void ChargeWork(size_t units) {
     if (max_derived_rows == 0) return;
     work += units;
@@ -244,8 +239,7 @@ bool MatchArgs(const Tuple& args, const Tuple& row,
 /// and rows with nulls make rep-equivalent representatives syntactically
 /// different — so the emitted pair must be computed order-canonically, or
 /// evaluation schedules with different delta windows (incremental resume vs
-/// from-scratch, parallel slices) would derive different rows and break
-/// their identity.
+/// from-scratch) would derive different rows and break their identity.
 void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
                    const std::vector<const Tuple*>& matched,
                    const std::vector<CondId>& matched_cond, Tuple* head,
@@ -270,9 +264,9 @@ void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
   *cond = out;
 }
 
-/// The greedy join order of `rule`: the delta atom first (none when
-/// `delta_pos` is negative; its window is the smallest range by
-/// construction, often a single seeded row), then repeatedly the unplaced
+/// The greedy join order of `rule`: the delta atom first (its window is the
+/// smallest range by construction, often a single seeded row), then
+/// repeatedly the unplaced
 /// atom with the most bound positions — constants, or variables bound by
 /// atoms already placed — ties broken in body order. Each placed atom binds
 /// variables that turn later atoms' scans into keyed index probes, so the
@@ -289,7 +283,7 @@ std::vector<AtomStep> OrderBody(const DatalogRule& rule, int delta_pos,
   for (int depth = 0; depth < static_cast<int>(n); ++depth) {
     size_t best = n;
     size_t best_bound = 0;
-    if (depth == 0 && delta_pos >= 0) {
+    if (depth == 0) {
       best = static_cast<size_t>(delta_pos);
     } else {
       for (size_t p = 0; p < n; ++p) {
@@ -337,7 +331,7 @@ RulePlan PlanRule(const DatalogRule& rule) {
     }
   }
   plan.num_slots = slot_of.size();
-  for (int d = -1; d < static_cast<int>(rule.body.size()); ++d) {
+  for (int d = 0; d < static_cast<int>(rule.body.size()); ++d) {
     plan.orders.push_back(OrderBody(rule, d, slot_of));
   }
   return plan;
@@ -355,49 +349,39 @@ struct StepRows {
   size_t Id(size_t k) const { return keyed ? ids[k] : lo + k; }
 };
 
-/// A source row of a derivation: (predicate, row index).
-using RowRef = std::pair<int, size_t>;
-
-/// The join enumeration of one rule firing, shared by the sequential and the
-/// parallel rounds; they differ only in the leaf action, the index caches
-/// and the stats sink. With `delta_pos < 0` (naive) every body position
-/// ranges over its predicate's full row list as of its loop entry. With
-/// `delta_pos >= 0` (semi-naive) position delta_pos ranges over its
-/// predicate's delta, earlier body positions over pre-delta rows only and
-/// later ones over everything up to the delta end — so each combination
-/// with at least one delta row is enumerated exactly once per round,
-/// whatever the enumeration order (the rule plan's greedy order; the
-/// windows go by body position, not depth). An atom with bound,
-/// constant-valued positions enumerates its range through the predicate's
-/// hash index on those positions instead of scanning it (same rows, same
-/// order; positions bound to a null fall back to the scan since a null
-/// matches any row under a condition). The partial condition travels as a
-/// backend id, and a branch whose condition cannot hold together with the
-/// global condition is cut immediately.
+/// The join enumeration of one semi-naive rule firing: body position
+/// `delta_pos` ranges over its predicate's delta, earlier body positions
+/// over pre-delta rows only and later ones over everything up to the delta
+/// end — so each combination with at least one delta row is enumerated
+/// exactly once per round, whatever the enumeration order (the rule plan's
+/// greedy order; the windows go by body position, not depth). An atom with
+/// bound, constant-valued positions enumerates its range through the
+/// predicate's hash index on those positions instead of scanning it (same
+/// rows, same order; positions bound to a null fall back to the scan since a
+/// null matches any row under a condition). The partial condition travels as
+/// a backend id, and a branch whose condition cannot hold together with the
+/// global condition is cut immediately. Each complete combination's
+/// order-canonical (head, condition) is inserted into the head predicate.
 class JoinKernel {
  public:
-  /// Receives each combination's order-canonical (head, condition) and its
-  /// source row per enumeration depth.
-  using Leaf = std::function<void(Tuple, CondId, const std::vector<RowRef>&)>;
-
-  /// `worker_indexes` (one cache per predicate) replaces the predicates'
-  /// shared index caches when set; join-side counters go to `stats`.
-  JoinKernel(EvalState& state, const RulePlan& plan, int delta_pos,
-             ConditionedFixpointStats& stats,
-             std::vector<TupleIndexCache>* worker_indexes, Leaf leaf)
+  JoinKernel(EvalState& state, const RulePlan& plan, int delta_pos)
       : state_(state),
         rule_(*plan.rule),
-        steps_(plan.orders[static_cast<size_t>(delta_pos + 1)]),
+        steps_(plan.orders[static_cast<size_t>(delta_pos)]),
         delta_pos_(delta_pos),
-        stats_(stats),
-        worker_indexes_(worker_indexes),
-        leaf_(std::move(leaf)),
         magic_head_(state.IsMagicPred(plan.rule->head.predicate)),
         slots_(plan.num_slots),
         matched_(plan.rule->body.size(), nullptr),
-        matched_cond_(plan.rule->body.size(), ConditionBackend::kTrueCond),
-        sources_(plan.rule->body.size()) {}
+        matched_cond_(plan.rule->body.size(), ConditionBackend::kTrueCond) {}
 
+  /// Enumerates every combination of the firing; returns true if any
+  /// derivation was added.
+  bool Fire() {
+    Descend(0, ConditionBackend::kTrueCond);
+    return added_;
+  }
+
+ private:
   /// The rows `depth` enumerates under the slots bound above it. A probe's
   /// candidate ids are a snapshot: an Insert deeper in the recursion may
   /// extend this very index (and any row vector) mid-iteration.
@@ -405,16 +389,14 @@ class JoinKernel {
     const AtomStep& step = steps_[depth];
     PredState& ps = state_.preds[static_cast<size_t>(step.pred)];
     StepRows rows;
-    if (delta_pos_ < 0) {
-      rows.hi = ps.rows.size();
-    } else if (static_cast<int>(step.pos) == delta_pos_) {
+    if (static_cast<int>(step.pos) == delta_pos_) {
       rows.lo = ps.delta_begin;
       rows.hi = ps.delta_end;
     } else {
       rows.hi = static_cast<int>(step.pos) < delta_pos_ ? ps.delta_begin
                                                          : ps.delta_end;
     }
-    if (!state_.use_index || rows.lo >= rows.hi) return rows;
+    if (rows.lo >= rows.hi) return rows;
     probe_cols_.clear();
     probe_key_.clear();
     for (size_t i = 0; i < step.args.size(); ++i) {
@@ -426,22 +408,19 @@ class JoinKernel {
       probe_key_.push_back(value);
     }
     if (probe_cols_.empty()) return rows;
-    TupleIndexCache& cache =
-        worker_indexes_ != nullptr
-            ? (*worker_indexes_)[static_cast<size_t>(step.pred)]
-            : ps.indexes;
-    const size_t builds_before = cache.stats().builds;
-    const size_t extends_before = cache.stats().extends;
-    rows.ids = cache
+    ConditionedFixpointStats& stats = state_.stats;
+    const size_t builds_before = ps.indexes.stats().builds;
+    const size_t extends_before = ps.indexes.stats().extends;
+    rows.ids = ps.indexes
                    .Get(probe_cols_, ps.rows.size(), ps.stamp,
                         [&ps](size_t i) -> const Tuple& {
                           return *ps.rows[i].tuple;
                         })
                    .Candidates(probe_key_, rows.lo, rows.hi);
-    stats_.index_builds += cache.stats().builds - builds_before;
-    stats_.index_extends += cache.stats().extends - extends_before;
-    ++stats_.index_probes;
-    stats_.index_hits += rows.ids.size();
+    stats.index_builds += ps.indexes.stats().builds - builds_before;
+    stats.index_extends += ps.indexes.stats().extends - extends_before;
+    ++stats.index_probes;
+    stats.index_hits += rows.ids.size();
     rows.keyed = true;
     return rows;
   }
@@ -475,20 +454,19 @@ class JoinKernel {
       next = backend.And(next, backend.FromConj(state_.interner->Intern(eqs)));
     }
     if (!backend.SatisfiableWith(state_.global_id, next)) {
-      ++stats_.pruned_branches;  // never-on prefix: cut the subtree
+      ++state_.stats.pruned_branches;  // never-on prefix: cut the subtree
       // Branches cut while deriving a magic (demand) predicate are demand
       // that can never hold.
-      if (magic_head_) ++stats_.demand_pruned;
+      if (magic_head_) ++state_.stats.demand_pruned;
       return;
     }
     matched_[step.pos] = tuple;
     matched_cond_[step.pos] = row_cond;
-    sources_[depth] = {step.pred, idx};
     Descend(depth + 1, next);
   }
 
-  /// Enumerates `depth` and everything below it; past the last depth, emits
-  /// the combination to the leaf.
+  /// Enumerates `depth` and everything below it; past the last depth,
+  /// inserts the combination's derivation.
   void Descend(size_t depth, CondId acc) {
     if (state_.aborted) return;
     if (depth == steps_.size()) {
@@ -496,7 +474,7 @@ class JoinKernel {
       CondId cond = ConditionBackend::kTrueCond;
       CanonicalLeaf(rule_, *state_.backend, matched_, matched_cond_, &head,
                     &cond);
-      leaf_(std::move(head), cond, sources_);
+      added_ |= Insert(state_, rule_.head.predicate, std::move(head), cond);
       return;
     }
     StepRows rows = Rows(depth);
@@ -505,37 +483,26 @@ class JoinKernel {
     }
   }
 
- private:
   EvalState& state_;
   const DatalogRule& rule_;
   const std::vector<AtomStep>& steps_;
   const int delta_pos_;
-  ConditionedFixpointStats& stats_;
-  std::vector<TupleIndexCache>* const worker_indexes_;
-  const Leaf leaf_;
   const bool magic_head_;
+  bool added_ = false;
   std::vector<Term> slots_;
-  // The matched row per *body* position (CanonicalLeaf's input) and per
-  // enumeration depth (the parallel replay's sources).
+  // The matched row per *body* position: CanonicalLeaf's input.
   std::vector<const Tuple*> matched_;
   std::vector<CondId> matched_cond_;
-  std::vector<RowRef> sources_;
   // Rows() scratch, consumed before the recursion re-enters it.
   std::vector<int> probe_cols_;
   Tuple probe_key_;
 };
 
-/// Fires one rule sequentially, inserting head derivations as they are
-/// enumerated. Returns true if anything was added.
-bool FireRule(EvalState& state, const RulePlan& plan, int delta_pos) {
-  bool added = false;
-  JoinKernel kernel(state, plan, delta_pos, state.stats, nullptr,
-                    [&](Tuple head, CondId cond, const std::vector<RowRef>&) {
-                      added |= Insert(state, plan.rule->head.predicate,
-                                      std::move(head), cond);
-                    });
-  kernel.Descend(0, ConditionBackend::kTrueCond);
-  return added;
+/// Fires an empty-body rule: its head is a ground fact (a range-restricted
+/// rule has no head variable without a body atom to bind it).
+void FireGroundRule(EvalState& state, const DatalogRule& rule) {
+  Insert(state, rule.head.predicate, rule.head.args,
+         ConditionBackend::kTrueCond);
 }
 
 /// Advances every predicate's delta window to the rows appended during the
@@ -548,101 +515,10 @@ void AdvanceDeltas(EvalState& state) {
   }
 }
 
-// --- Parallel semi-naive rounds ---------------------------------------------
-//
-// A round with num_threads > 1 splits into two phases:
-//
-//   *Generate* (parallel): each rule/delta-position firing's outer (delta)
-//   range is sliced across the worker pool. Workers run the same
-//   JoinKernel as FireRule — same join order, windows, index probes
-//   (through per-worker index caches) and satisfiability cuts — but instead
-//   of inserting at the leaf they record a Candidate: the order-canonical
-//   (head, condition) plus the source row per enumeration depth. The round
-//   state is frozen during this phase (inserts only happen in replay), so
-//   workers race on nothing; the interner must be in shared mode.
-//
-//   *Replay* (sequential): candidates are applied through the unchanged
-//   Insert in canonical order — firing order, then ascending outer ids,
-//   then enumeration order — which is exactly the sequential schedule.
-//
-// One subtlety keeps the replayed row sequence byte-identical to the
-// sequential engine rather than merely row-set-equal: sequential FireRule
-// checks `alive` at *visit time*. A mid-round Insert can kill an in-window
-// row; enumeration subtrees already entered through that row continue, but
-// subtrees entered later skip it. Workers generated against the round-start
-// flags (a superset). Replay therefore re-derives each candidate's
-// admissibility from its sources: per enumeration depth it keeps the last
-// liveness decision made for the current source prefix, re-evaluating from
-// the first depth whose source differs from the previous candidate's —
-// evaluating depth d's liveness exactly when the sequential enumeration
-// would have descended into that subtree (the first candidate carrying that
-// prefix), and reusing the decision for the rest of the subtree just as the
-// sequential loop never re-checks it. Candidates with a dead source depth
-// are dropped; the survivors are exactly the sequential insert sequence.
-
-/// One candidate derivation: the order-canonical head row plus the source
-/// row per enumeration depth it was derived through.
-struct Candidate {
-  Tuple head;
-  CondId cond = ConditionBackend::kTrueCond;
-  std::vector<RowRef> sources;
-};
-
-/// Per-worker generation state: private index caches (sharing the
-/// PredState caches would race their lazy builds) and the join-side stat
-/// counters, merged after the generation barrier.
-struct WorkerScratch {
-  std::vector<TupleIndexCache> indexes;  // one per predicate
-  ConditionedFixpointStats stats;
-};
-
-/// One rule/delta-position firing of the round with its depth-0 rows.
-struct Firing {
-  const RulePlan* plan = nullptr;
-  int delta_pos = 0;
-  StepRows outer;
-};
-
-/// A contiguous chunk of one firing's outer range, the unit of work
-/// stealing; `out` receives the chunk's candidates in enumeration order.
-struct GenSlice {
-  size_t firing = 0;
-  size_t begin = 0;
-  size_t end = 0;
-  std::vector<Candidate> out;
-};
-
-
-/// The visit-time liveness protocol of the replay phase (see the section
-/// comment): per-depth decisions cached against the previous candidate's
-/// source prefix, re-evaluated from the first differing depth.
-struct ReplayLiveness {
-  std::vector<RowRef> prev;
-  std::vector<char> decision;  // decision[d]: source d alive when visited
-
-  bool Admit(const EvalState& state, const Candidate& c) {
-    size_t same = 0;
-    while (same < prev.size() && same < c.sources.size() &&
-           prev[same] == c.sources[same]) {
-      ++same;
-    }
-    prev.assign(c.sources.begin(), c.sources.end());
-    decision.resize(c.sources.size());
-    for (size_t d = same; d < c.sources.size(); ++d) {
-      const auto& [pred, idx] = c.sources[d];
-      decision[d] = state.preds[pred].rows[idx].alive ? 1 : 0;
-    }
-    for (size_t d = 0; d < c.sources.size(); ++d) {
-      if (!decision[d]) return false;
-    }
-    return true;
-  }
-};
-
-/// One sequential semi-naive round over the listed rules (in list order):
-/// fires each rule once per body position whose predicate has a nonempty
-/// delta window. Returns true if any row was added.
-bool SequentialRound(EvalState& state, const std::vector<size_t>& rule_ids) {
+/// One semi-naive round over the listed rules (in list order): fires each
+/// rule once per body position whose predicate has a nonempty delta window.
+/// Returns true if any row was added.
+bool RunRound(EvalState& state, const std::vector<size_t>& rule_ids) {
   bool changed = false;
   for (size_t r : rule_ids) {
     const RulePlan& plan = state.plans[r];
@@ -650,90 +526,7 @@ bool SequentialRound(EvalState& state, const std::vector<size_t>& rule_ids) {
          ++pos) {
       const PredState& ps = state.preds[plan.rule->body[pos].predicate];
       if (ps.delta_begin == ps.delta_end) continue;
-      changed |= FireRule(state, plan, static_cast<int>(pos));
-    }
-  }
-  return changed;
-}
-
-/// One parallel semi-naive round over the listed rules. Mirrors
-/// SequentialRound exactly: same firing enumeration in the same order, same
-/// depth-0 probe planning (counted into the same stats), with generation
-/// fanned out over `pool` and a sequential replay. Returns true if any row
-/// was added.
-bool ParallelRound(EvalState& state, const std::vector<size_t>& rule_ids,
-                   ThreadPool& pool, std::vector<WorkerScratch>& scratch) {
-  std::vector<Firing> firings;
-  size_t total_outer = 0;
-  for (size_t r : rule_ids) {
-    const RulePlan& plan = state.plans[r];
-    for (size_t pos = 0; pos < plan.rule->body.size(); ++pos) {
-      const PredState& ps = state.preds[plan.rule->body[pos].predicate];
-      if (ps.delta_begin == ps.delta_end) continue;
-      // Every firing's join order puts its delta atom at depth 0, so the
-      // outer rows are the delta window (or its keyed subset, probed through
-      // the shared per-predicate cache — one probe per firing, like
-      // FireRule).
-      Firing f{&plan, static_cast<int>(pos), {}};
-      f.outer = JoinKernel(state, plan, f.delta_pos, state.stats, nullptr, {})
-                    .Rows(0);
-      total_outer += f.outer.Count();
-      firings.push_back(std::move(f));
-    }
-  }
-
-  // Slice for work stealing: enough chunks to balance skew, large enough
-  // that per-slice overhead stays noise.
-  std::vector<GenSlice> slices;
-  size_t target = pool.num_threads() * 4;
-  size_t chunk = total_outer / target + 1;
-  for (size_t fi = 0; fi < firings.size(); ++fi) {
-    size_t n = firings[fi].outer.Count();
-    for (size_t b = 0; b < n; b += chunk) {
-      slices.push_back(GenSlice{fi, b, std::min(b + chunk, n), {}});
-    }
-  }
-
-  // Generation is read-only on the round state: the kernel's probes go to
-  // the worker's own caches and ChargeWork is unmetered (parallel rounds
-  // run without a budget).
-  pool.ParallelFor(slices.size(), [&](size_t si, size_t worker) {
-    GenSlice& s = slices[si];
-    const Firing& f = firings[s.firing];
-    JoinKernel kernel(
-        state, *f.plan, f.delta_pos, scratch[worker].stats,
-        &scratch[worker].indexes,
-        [&s](Tuple head, CondId cond, const std::vector<RowRef>& sources) {
-          s.out.push_back(Candidate{std::move(head), cond, sources});
-        });
-    for (size_t k = s.begin; k < s.end; ++k) {
-      kernel.Visit(0, f.outer.Id(k), ConditionBackend::kTrueCond);
-    }
-  });
-  for (WorkerScratch& ws : scratch) {
-    state.stats.pruned_branches += ws.stats.pruned_branches;
-    state.stats.demand_pruned += ws.stats.demand_pruned;
-    state.stats.index_probes += ws.stats.index_probes;
-    state.stats.index_hits += ws.stats.index_hits;
-    state.stats.index_builds += ws.stats.index_builds;
-    state.stats.index_extends += ws.stats.index_extends;
-    ws.stats = {};
-  }
-
-  // Replay each firing's candidates (its slices concatenated, already in
-  // enumeration order) through the unchanged Insert.
-  bool changed = false;
-  size_t si = 0;
-  for (size_t fi = 0; fi < firings.size(); ++fi) {
-    // The liveness cache spans one firing — one sequential FireRule call —
-    // and resets across firings (a new call re-visits every row afresh).
-    ReplayLiveness live;
-    const int head = firings[fi].plan->rule->head.predicate;
-    for (; si < slices.size() && slices[si].firing == fi; ++si) {
-      for (Candidate& c : slices[si].out) {
-        if (!live.Admit(state, c)) continue;
-        changed |= Insert(state, head, std::move(c.head), c.cond);
-      }
+      changed |= JoinKernel(state, plan, static_cast<int>(pos)).Fire();
     }
   }
   return changed;
@@ -743,16 +536,13 @@ bool ParallelRound(EvalState& state, const std::vector<size_t>& rule_ids,
 
 struct ConditionedFixpoint::Impl {
   const DatalogProgram* program = nullptr;
-  bool semi_naive = true;
-  bool stratum = true;
   // Static analysis of `program` (SCC strata in topological order, dead
   // rules, cones), computed once at construction; the stratum schedule and
   // IVM both run off it.
   std::unique_ptr<ProgramAnalysis> analysis;
   // seen[scc][pred]: how many of `pred`'s rows SCC `scc`'s rules have
   // already consumed (joined against every relevant combination). The SCC's
-  // delta on the next Run() is [seen, rows.size()) — the stratum-schedule
-  // equivalent of the monolithic delta windows, kept per SCC because
+  // delta on the next Run() is [seen, rows.size()) — kept per SCC because
   // different strata consume the same predicate at different times.
   // ClearPredicate resets a predicate's column.
   std::vector<std::vector<size_t>> seen;
@@ -766,41 +556,6 @@ struct ConditionedFixpoint::Impl {
   // constructing the fixpoint).
   size_t interner_baseline = 0;
 
-  // Parallel rounds (options.num_threads > 1): the pool and per-worker
-  // scratch are created lazily on the first round big enough to use them,
-  // so small evaluations never pay the thread spawn. Worker index caches
-  // persist across rounds — PredState stamps invalidate them after a
-  // ClearPredicate exactly like the shared caches.
-  int num_threads = 1;
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<WorkerScratch> scratch;
-
-  // A round's delta must clear this before fan-out pays for itself.
-  static constexpr size_t kMinParallelDelta = 16;
-
-  /// True (creating the pool on first use) when this round should run
-  /// parallel. Checked per round: eligibility depends on the interner being
-  /// in shared mode, which the caller may enable between Run() calls.
-  bool UseParallelRound() {
-    if (num_threads <= 1 || !semi_naive || state.max_derived_rows != 0 ||
-        !state.interner->shared()) {
-      return false;
-    }
-    size_t delta = 0;
-    for (const PredState& ps : state.preds) {
-      delta += ps.delta_end - ps.delta_begin;
-    }
-    if (delta < kMinParallelDelta) return false;
-    if (pool == nullptr) {
-      pool = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads));
-      scratch.resize(pool->num_threads());
-      for (WorkerScratch& ws : scratch) {
-        ws.indexes.resize(state.preds.size());
-      }
-    }
-    return true;
-  }
-
   /// Stratum-scheduled semi-naive evaluation: the SCCs of the predicate
   /// dependency graph run in topological order, so each stratum joins only
   /// against fully converged inputs — on conditioned data, the final
@@ -811,11 +566,10 @@ struct ConditionedFixpoint::Impl {
   /// textual duplicates) are skipped up front. With `cone_heads` set
   /// (RunCone), rules are additionally restricted to cone heads and every
   /// window opens at 0 — the cleared predicates' derivations are gone, so
-  /// each stratum re-enumerates all combinations, exactly like the
-  /// monolithic RunCone. Emits the same row set as the monolithic schedule:
-  /// the per-tuple antichain (or DD Or-merge) is a function of the set of
-  /// derivable conditions, not of the order they arrive in, and
-  /// CanonicalLeaf makes each combination's emission order-canonical.
+  /// each stratum re-enumerates all combinations. The result is independent
+  /// of the schedule: the per-tuple antichain (or DD Or-merge) is a function
+  /// of the set of derivable conditions, not of the order they arrive in,
+  /// and CanonicalLeaf makes each combination's emission order-canonical.
   void StratifiedRun(const std::vector<bool>* cone_heads) {
     EvalState& st = state;
     const ProgramAnalysis& an = *analysis;
@@ -896,21 +650,13 @@ struct ConditionedFixpoint::Impl {
             // Nonrecursive stratum: none of its rules read what it derives,
             // so one pass over the delta is the fixpoint.
             ++st.stats.rounds;
-            if (UseParallelRound()) {
-              ParallelRound(st, live, *pool, scratch);
-            } else {
-              SequentialRound(st, live);
-            }
+            RunRound(st, live);
           } else {
             bool changed = true;
             while (changed && !st.aborted) {
               changed = false;
               ++st.stats.rounds;
-              if (UseParallelRound()) {
-                changed = ParallelRound(st, live, *pool, scratch);
-              } else {
-                changed = SequentialRound(st, live);
-              }
+              changed = RunRound(st, live);
               AdvanceDeltas(st);
             }
           }
@@ -931,8 +677,6 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
                                          const DatalogCTableOptions& options)
     : impl_(std::make_unique<Impl>()) {
   impl_->program = &program;
-  impl_->semi_naive = options.semi_naive;
-  impl_->stratum = options.stratum_schedule;
   impl_->analysis = std::make_unique<ProgramAnalysis>(program);
   impl_->seen.assign(
       static_cast<size_t>(impl_->analysis->num_sccs()),
@@ -944,14 +688,12 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
       MakeConditionBackend(options.condition_backend, *state.interner);
   state.backend = impl_->backend.get();
   state.dd = state.backend->disjunctive();
-  state.use_index = options.use_index;
   state.magic_begin = options.magic_pred_begin;
   state.max_derived_rows = options.max_derived_rows;
   state.preds.resize(program.num_predicates());
   for (const DatalogRule& rule : program.rules()) {
     state.plans.push_back(PlanRule(rule));
   }
-  impl_->num_threads = options.num_threads > 1 ? options.num_threads : 1;
   impl_->interner_baseline = state.interner->num_conjunctions();
 }
 
@@ -997,51 +739,17 @@ void ConditionedFixpoint::FireGroundRules() {
   // Empty-body rules are ground facts: the fixpoint loops only enumerate
   // rules through their body atoms, so these fire here, into the pending
   // delta.
-  for (const RulePlan& plan : state.plans) {
+  for (const DatalogRule& rule : impl_->program->rules()) {
     if (state.aborted) break;
-    if (plan.rule->body.empty()) FireRule(state, plan, /*delta_pos=*/-1);
+    if (rule.body.empty()) FireGroundRule(state, rule);
   }
 }
 
 void ConditionedFixpoint::Run() {
-  EvalState& state = impl_->state;
-  if (impl_->semi_naive && impl_->stratum) {
-    // The stratum schedule tracks consumption per SCC as watermarks, not
-    // windows: rows seeded (or ground-fired) since the last convergence sit
-    // past each SCC's seen mark and become its delta when its turn comes.
-    impl_->StratifiedRun(nullptr);
-    return;
-  }
-  // Rows seeded (or ground-fired) since the last convergence sit past every
-  // delta window; advancing makes them the pending delta, so a re-entered
-  // run fires rules only against combinations involving the new rows.
-  AdvanceDeltas(state);
-  if (impl_->semi_naive) {
-    std::vector<size_t> all_rules(impl_->program->rules().size());
-    for (size_t r = 0; r < all_rules.size(); ++r) all_rules[r] = r;
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      if (impl_->UseParallelRound()) {
-        changed =
-            ParallelRound(state, all_rules, *impl_->pool, impl_->scratch);
-      } else {
-        changed = SequentialRound(state, all_rules);
-      }
-      AdvanceDeltas(state);
-    }
-  } else {
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      for (const RulePlan& plan : state.plans) {
-        if (state.aborted) break;
-        changed |= FireRule(state, plan, /*delta_pos=*/-1);
-      }
-    }
-  }
+  // The stratum schedule tracks consumption per SCC as watermarks, not
+  // windows: rows seeded (or ground-fired) since the last convergence sit
+  // past each SCC's seen mark and become its delta when its turn comes.
+  impl_->StratifiedRun(nullptr);
 }
 
 void ConditionedFixpoint::ClearPredicate(int pred) {
@@ -1063,71 +771,26 @@ void ConditionedFixpoint::ClearPredicate(int pred) {
 
 void ConditionedFixpoint::RunCone(const std::vector<bool>& cone_heads) {
   EvalState& state = impl_->state;
+  // A mask of the wrong size would index past the predicate table: checked
+  // in every build mode.
   assert(cone_heads.size() == state.preds.size());
+  if (cone_heads.size() != state.preds.size()) return;
   // The cone's ground facts first: ClearPredicate dropped them along with
-  // everything else, and only body atoms drive the loops below. They must
-  // land BEFORE the windows are snapshotted — fired after, they would sit
-  // past delta_end, and a first round that derives nothing else would exit
-  // without ever advancing them into a window, losing every derivation
-  // that joins through them (the next Run()'s leading AdvanceDeltas would
-  // discard the pending rows).
-  for (const RulePlan& plan : state.plans) {
+  // everything else, and only body atoms drive the strata. They land past
+  // every seen watermark, so each stratum picks them up as delta.
+  for (const DatalogRule& rule : impl_->program->rules()) {
     if (state.aborted) break;
-    if (plan.rule->body.empty() && cone_heads[plan.rule->head.predicate]) {
-      FireRule(state, plan, /*delta_pos=*/-1);
+    if (rule.body.empty() && cone_heads[rule.head.predicate]) {
+      FireGroundRule(state, rule);
     }
   }
-  if (impl_->semi_naive && impl_->stratum) {
-    // Stratified re-derivation: same cone-head restriction, with each
-    // stratum's windows opened at 0 (the cleared predicates' derivations
-    // are gone, so every combination re-enumerates) in topological order.
-    impl_->StratifiedRun(&cone_heads);
-    return;
-  }
-  // Every current row becomes the pending delta: with the window at
-  // [0, rows.size()), a rule's delta_pos=0 firing enumerates exactly the
-  // combinations a fresh first round would (earlier-position windows are
-  // empty), so cleared predicates re-derive from the surviving state.
-  for (PredState& ps : state.preds) {
-    ps.delta_begin = 0;
-    ps.delta_end = ps.rows.size();
-    state.stats.delta_rows += ps.delta_end;
-  }
-  // Only cone-head rules fire: the cone is closed under head-reachability,
-  // so a rule with a non-cone head has no cone predicate in its body — its
+  // Stratified re-derivation restricted to cone-head rules, with each
+  // stratum's windows opened at 0 (the cleared predicates' derivations are
+  // gone, so every combination re-enumerates) in topological order. Only
+  // cone-head rules fire: the cone is closed under head-reachability, so a
+  // rule with a non-cone head has no cone predicate in its body — its
   // derivations are all still present and re-firing it could add nothing.
-  std::vector<size_t> cone_rules;
-  for (size_t r = 0; r < impl_->program->rules().size(); ++r) {
-    if (cone_heads[impl_->program->rules()[r].head.predicate]) {
-      cone_rules.push_back(r);
-    }
-  }
-  if (impl_->semi_naive) {
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      if (impl_->UseParallelRound()) {
-        changed =
-            ParallelRound(state, cone_rules, *impl_->pool, impl_->scratch);
-      } else {
-        changed = SequentialRound(state, cone_rules);
-      }
-      AdvanceDeltas(state);
-    }
-  } else {
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      for (const RulePlan& plan : state.plans) {
-        if (state.aborted) break;
-        if (!cone_heads[plan.rule->head.predicate]) continue;
-        changed |= FireRule(state, plan, /*delta_pos=*/-1);
-      }
-    }
-    AdvanceDeltas(state);
-  }
+  impl_->StratifiedRun(&cone_heads);
 }
 
 CTable ConditionedFixpoint::Export(int pred) const {

@@ -16,9 +16,25 @@
 // Rows travel as interned condition ids (ConditionInterner): conjoining body
 // conditions is the memoized pairwise And, duplicate derivations die on an
 // id comparison, unsatisfiable branches are cut inside the join loop, and
-// subsumption is the memoized pairwise implication. The default evaluation
-// is semi-naive — each round fires rules only against row combinations with
-// at least one row from the previous round's delta.
+// subsumption is the memoized pairwise implication.
+//
+// Evaluation is semi-naive and stratum-scheduled: the program's SCC
+// condensation (datalog/analysis.h) is evaluated in topological order —
+// nonrecursive strata in a single pass, delta rounds confined to the current
+// SCC's rules, each firing joining only combinations with at least one row
+// from the previous round's delta — and rules that cannot fire this run (a
+// body predicate with no rows and no rule chain that could give it any, or a
+// textual duplicate of an earlier rule) are skipped up front. On conditioned
+// data upper strata join only against the converged antichain of lower ones
+// instead of churning through intermediate conditions that later
+// subsumption kills. Each firing joins its body atoms in a greedy order (the
+// delta atom, then repeatedly the atom with the most bound positions), and
+// an atom with bound, constant-valued positions is matched through a
+// per-predicate hash index on those positions (tables/tuple_index.h) —
+// built lazily on first use and extended incrementally across rounds —
+// instead of a scan of the predicate's rows. Positions bound to a null
+// cannot key a probe (a null matches any row under a condition) and fall
+// back to the scan, as do atoms with no bound position.
 
 #ifndef PW_ILALGEBRA_DATALOG_CTABLE_H_
 #define PW_ILALGEBRA_DATALOG_CTABLE_H_
@@ -40,11 +56,11 @@ namespace pw {
 struct ConditionedFixpointStats {
   size_t rounds = 0;
   size_t strata = 0;              // SCC strata that fired at least one round
-                                  // (stratum schedule only; cumulative
-                                  // across Run()/RunCone() calls)
+                                  // (cumulative across Run()/RunCone()
+                                  // calls)
   size_t dead_rules_skipped = 0;  // rules skipped per Run as unable to fire
                                   // (underivable body predicate or textual
-                                  // duplicate; stratum schedule only)
+                                  // duplicate)
   size_t derived_rows = 0;        // rows kept across all predicates
   size_t subsumed_rows = 0;       // derivations dropped by subsumption
   size_t unsatisfiable_rows = 0;  // derivations dropped as inconsistent
@@ -77,47 +93,10 @@ struct ConditionedFixpointStats {
 
 /// Evaluation knobs for the conditioned fixpoint.
 struct DatalogCTableOptions {
-  /// Semi-naive (the default) fires each rule only against combinations
-  /// containing at least one row derived in the previous round; naive
-  /// re-fires everything every round. Both converge to the same c-tables
-  /// (up to row order): rows travel as interned condition ids either way,
-  /// so duplicate derivations are suppressed by id equality and subsumption
-  /// is the interner's memoized pairwise implication.
-  bool semi_naive = true;
-
-  /// True (the default) schedules the semi-naive fixpoint stratum by
-  /// stratum: the program's SCC condensation (datalog/analysis.h) is
-  /// evaluated in topological order — nonrecursive strata in a single pass,
-  /// delta rounds confined to the current SCC's rules — and rules that
-  /// cannot fire this run (a body predicate with no rows and no rule chain
-  /// that could give it any, or a textual duplicate of an earlier rule) are
-  /// skipped up front. Emits exactly the same row set (tuples + interned
-  /// condition ids) as the monolithic schedule; row ORDER within a
-  /// predicate can differ on multi-SCC programs, and on conditioned data
-  /// upper strata join only against the converged antichain of lower ones
-  /// instead of churning through intermediate conditions that later
-  /// subsumption kills. False keeps the monolithic all-rules-every-round
-  /// schedule — the differential baseline. Ignored when semi_naive is off.
-  bool stratum_schedule = true;
-
-  /// True (the default) matches each body atom whose arguments have bound,
-  /// constant-valued positions through a per-predicate hash index on those
-  /// positions (tables/tuple_index.h) — built lazily on first use and
-  /// extended incrementally across fixpoint rounds — instead of scanning the
-  /// predicate's full row range. A position is bound by a constant or by an
-  /// atom earlier in the firing's join order (the delta atom, then greedily
-  /// the atom with the most bound positions). Positions bound to a null
-  /// cannot key a probe (a null matches any row under a condition) and fall
-  /// back to the scan, as do atoms with no bound position. Enumerates
-  /// exactly the rows the scan would have matched, in the same order. False
-  /// keeps the per-row scan — chiefly for differential tests and benchmarks.
-  bool use_index = true;
-
   /// Optional interner override. Leave null to use
   /// ConditionInterner::Global(). A single-threaded interner must not be
   /// shared across evaluator threads; one in shared mode
-  /// (ConditionInterner::EnableSharing) may be, and is required for
-  /// `num_threads > 1`.
+  /// (ConditionInterner::EnableSharing) may be.
   ConditionInterner* interner = nullptr;
 
   /// Which condition representation the fixpoint's rows travel in
@@ -135,28 +114,12 @@ struct DatalogCTableOptions {
   /// variable ("dd" selects diagrams), falling back to kConjunctions.
   ConditionBackendKind condition_backend = ConditionBackendKind::kDefault;
 
-  /// Number of worker threads for the semi-naive fixpoint rounds. With
-  /// N > 1 each round's rule firings are sliced across a worker pool: the
-  /// workers *generate* candidate derivations against the frozen round
-  /// state (thread-local output buffers, per-worker index caches), and a
-  /// sequential *replay* then applies them through the usual
-  /// insert/subsume/kill pipeline in the exact order the sequential
-  /// schedule would have — so the emitted rows (content AND order) are
-  /// byte-identical to `num_threads = 1`. Requires an interner in shared
-  /// mode; silently falls back to sequential when the interner is not
-  /// shared, when `semi_naive` is off, or when a `max_derived_rows` budget
-  /// is set (the budget's early-abort point depends on interleaving).
-  /// Join-side stats (pruned_branches, index counters) may differ from the
-  /// sequential run — workers speculate past rows a sequential schedule
-  /// would already have killed; the result rows never differ.
-  int num_threads = 1;
-
   /// DatalogQueryOnCTables only: true (the default) evaluates the goal
   /// through the magic-set rewrite (datalog/magic.h), so only
   /// demand-reachable (tuple, condition-id) facts are derived; false runs
-  /// the full fixpoint and restricts its goal table afterwards — the
-  /// differential baseline. Both return identical c-tables (same tuples,
-  /// interned-id-identical conditions, up to row order).
+  /// the full fixpoint and restricts its goal table afterwards. Both return
+  /// identical c-tables (same tuples, interned-id-identical conditions, up
+  /// to row order).
   bool use_magic = true;
 
   /// Predicates at or past this id are magic (demand) predicates, so the
@@ -198,8 +161,7 @@ struct DatalogCTableOptions {
 /// The duplicate-suppression map, subsumption antichain, and per-predicate
 /// tuple indexes all persist across Run() calls; the program and the
 /// options' interner must outlive the fixpoint. The fixpoint object itself
-/// is single-owner (drive it from one thread); `num_threads > 1` only fans
-/// the internal rounds out over a private worker pool.
+/// is single-owner: drive it from one thread.
 class ConditionedFixpoint {
  public:
   explicit ConditionedFixpoint(const DatalogProgram& program,
@@ -242,8 +204,8 @@ class ConditionedFixpoint {
   /// fresh state before the first Run(); RunCone re-fires the cone's own.
   void FireGroundRules();
 
-  /// Runs the fixpoint loop to convergence over the pending deltas (the
-  /// configured strategy: semi-naive by default, naive re-fires everything).
+  /// Runs the stratum-scheduled semi-naive loop to convergence over the
+  /// pending deltas.
   void Run();
 
   /// Over-delete: drops every row of `pred` — storage, dedup map, delta
@@ -253,7 +215,8 @@ class ConditionedFixpoint {
   /// Re-derivation pass after over-deletes: every current row of every
   /// predicate becomes the pending delta, the cone's empty-body rules
   /// re-fire, and the loop runs with only the rules whose head predicate is
-  /// marked in `cone_heads` (size num_predicates).
+  /// marked in `cone_heads`. A mask whose size is not num_predicates is a
+  /// no-op in all build modes (asserts in debug).
   void RunCone(const std::vector<bool>& cone_heads);
 
   /// The live rows of `pred` as a c-table with hot id caches (no global
@@ -322,8 +285,8 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// runs on the rewritten program, deriving only demand-reachable facts —
 /// conditions flow into the magic facts, so demand that cannot hold is
 /// pruned via the interner before guarded rule bodies fire. The result is
-/// identical (up to row order) to the restricted full fixpoint, which stays
-/// available as the differential baseline behind `use_magic = false`.
+/// identical (up to row order) to the restricted full fixpoint, which
+/// `use_magic = false` computes.
 /// `stats` additionally reports the demand counters.
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,

@@ -11,7 +11,6 @@ struct FlattenState {
   std::vector<JoinLeaf> leaves;
   std::vector<ReplayEvent> events;
   int width = 0;
-  bool binary_only = false;
 };
 
 /// Registers `expr` as an atomic leaf and returns its identity output view.
@@ -60,12 +59,8 @@ std::vector<ColOrConst> FlattenNode(const RaExpr& expr, FlattenState& s) {
       return in;
     }
     case RaOp::kProduct: {
-      std::vector<ColOrConst> left =
-          s.binary_only ? MakeLeaf(expr.left(), s)
-                        : FlattenNode(expr.left(), s);
-      std::vector<ColOrConst> right =
-          s.binary_only ? MakeLeaf(expr.right(), s)
-                        : FlattenNode(expr.right(), s);
+      std::vector<ColOrConst> left = FlattenNode(expr.left(), s);
+      std::vector<ColOrConst> right = FlattenNode(expr.right(), s);
       left.insert(left.end(), right.begin(), right.end());
       return left;
     }
@@ -86,14 +81,13 @@ std::vector<int> LeavesOf(const SelectAtom& a, const std::vector<int>& col_leaf)
 
 }  // namespace
 
-JoinPlan PlanJoin(const RaExpr& expr, const JoinPlanOptions& options) {
+JoinPlan PlanJoin(const RaExpr& expr) {
   JoinPlan plan;
   RaOp op = expr.op();
   if (op != RaOp::kSelect && op != RaOp::kProject && op != RaOp::kProduct) {
     return plan;
   }
   FlattenState s;
-  s.binary_only = options.binary_only;
   plan.outputs = FlattenNode(expr, s);
   plan.leaves = std::move(s.leaves);
   plan.replay = std::move(s.events);

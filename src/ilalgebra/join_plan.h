@@ -31,18 +31,18 @@
 //      is never materialized above its leaf (`JoinPlan::needed`).
 //
 // Execution (ilalgebra/ctable_eval.cc) must stay output-*identical* to the
-// nested-loop evaluation of the original tree — same rows, same order, and
-// on the plain path byte-identical local conditions. Two facts make that
-// reachable despite the reordering: the nested loops enumerate surviving
-// leaf-row combinations in lexicographic order of the leaf-id vector (each
-// product iterates its left side outer), so sorting the planned
-// combinations by that vector restores the order; and the local condition
-// of a combination is a deterministic in-order traversal of the tree — leaf
-// locals and instantiated selection atoms in tree order — which
-// `JoinPlan::replay` records so the executor can rebuild it exactly. The
-// join machinery itself is pure candidate pruning: it only skips
+// nested-loop evaluation of the original tree — same rows, same order, same
+// conditions. Two facts make that reachable despite the reordering: the
+// nested loops enumerate surviving leaf-row combinations in lexicographic
+// order of the leaf-id vector (each product iterates its left side outer),
+// so sorting the planned combinations by that vector restores the order;
+// and a combination's condition is an interned conjunction, canonical
+// whatever order its leaf conditions and atoms are conjoined in.
+// `JoinPlan::replay` records the in-order traversal of the tree (leaf
+// locals and selection atoms in tree order); the conjunct set is drawn from
+// it. The join machinery itself is pure candidate pruning: it only skips
 // combinations the selection would have dropped on a trivially-false ground
-// atom (or, interned, an unsatisfiable condition).
+// atom or an unsatisfiable condition.
 
 #ifndef PW_ILALGEBRA_JOIN_PLAN_H_
 #define PW_ILALGEBRA_JOIN_PLAN_H_
@@ -80,23 +80,13 @@ struct JoinConjunct {
   std::vector<int> leaves;  // distinct leaves referenced, ascending
 };
 
-/// One event of the exact-output replay: the in-order tree traversal that
-/// rebuilds a combination's local condition — leaf locals and instantiated
-/// selection atoms in exactly the order the nested loops conjoin them.
+/// One event of the in-order tree traversal: a leaf's local condition or a
+/// selection atom, in exactly the order the nested loops conjoin them.
 struct ReplayEvent {
   enum Kind { kLeafLocal, kAtom };
   Kind kind = kLeafLocal;
   int leaf = 0;      // kLeafLocal: which leaf's local condition
   SelectAtom atom;   // kAtom: concatenated coordinates
-};
-
-struct JoinPlanOptions {
-  /// Collapse the flattening at the first product: its two operands stay
-  /// atomic leaves, whatever they are — the PR 3 binary-fusion shape, kept
-  /// as a benchmarking baseline for the n-ary planner. Leaves that are
-  /// themselves select/product subtrees re-enter the planner when they are
-  /// evaluated, so binary fusion still recurses into product subtrees.
-  bool binary_only = false;
 };
 
 /// A normalized, partitioned n-way join. `fused` is false when the shape is
@@ -125,7 +115,7 @@ struct JoinPlan {
 /// `expr`. Returns fused == false when `expr` is not a select/project/
 /// product node, flattens to fewer than two leaves, or yields no cross-leaf
 /// equi-join key (a pure product stays a nested loop).
-JoinPlan PlanJoin(const RaExpr& expr, const JoinPlanOptions& options = {});
+JoinPlan PlanJoin(const RaExpr& expr);
 
 /// One step of the greedy join order. `steps[0]` is the seed (no key; its
 /// `conjuncts` are the plan's constant conjuncts); every later step joins

@@ -42,8 +42,8 @@
 //
 // Building and extending an index is single-owner: `Add`/`Get` mutate
 // shared scratch, so only one thread may grow a cache at a time
-// (CTable::Index serializes its cache behind a mutex; the parallel fixpoint
-// gives each worker its own TupleIndexCache). A *built* index over rows
+// (CTable::Index serializes its cache behind a mutex; each conditioned
+// fixpoint owns its per-predicate caches). A *built* index over rows
 // that are no longer changing is safe to probe from many threads —
 // `Probe`/`Candidates` are const and touch only locals — which is what
 // frozen-table readers (tables/snapshot.h) rely on.

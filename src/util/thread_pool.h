@@ -1,15 +1,14 @@
 // A small persistent worker pool with an indexed parallel-for.
 //
-// The parallel semi-naive fixpoint (ilalgebra/datalog_ctable.cc) fires each
-// round's rule/delta slices across workers and then merges sequentially;
-// it needs (a) persistent threads so per-worker scratch (index caches)
-// survives across rounds, and (b) a worker index handed to the task body so
-// scratch can be picked without locks. ParallelFor gives both: tasks are
-// claimed from a shared atomic counter (work stealing, so skewed slice
-// costs still balance) and the calling thread participates as worker 0.
+// The snapshot-serving bench (bench/serve_throughput.cc) drives its reader
+// threads through it. Threads persist across ParallelFor calls, and each
+// task body gets a worker index so per-worker scratch can be picked without
+// locks. Tasks are claimed from a shared atomic counter (work stealing, so
+// skewed task costs still balance) and the calling thread participates as
+// worker 0.
 //
 // ParallelFor is a barrier: it returns only after every task ran, which is
-// the happens-before edge the fixpoint's generate/replay phases rely on.
+// the happens-before edge between the tasks' writes and the caller.
 // Task bodies must not throw and must not call ParallelFor reentrantly.
 
 #ifndef PW_UTIL_THREAD_POOL_H_

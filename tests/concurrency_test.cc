@@ -1,6 +1,6 @@
-// Concurrency suite: the shared interner, the parallel semi-naive
-// fixpoint, and versioned snapshot reads, each checked against its
-// sequential twin.
+// Concurrency suite: the shared interner, the shared decision-diagram
+// backend, concurrent fixpoints and versioned snapshot reads, each checked
+// against a sequential reference.
 //
 // Three layers, mirroring the threading model (README "Threading model"):
 //
@@ -13,12 +13,14 @@
 //     and And-folds over shuffled orders must land on the same canonical
 //     id.
 //
-//  3. Whole-engine differentials — the parallel fixpoint
-//     (DatalogCTableOptions::num_threads) must emit *identical* tables to
-//     the sequential schedule (same rows, same order, same conditions);
-//     a VersionedCDatabase driven by a writer thread while readers take
-//     snapshots and run conditioned queries must hand every reader a
-//     state identical to the sequential recompute of the version it read.
+//  3. Whole-engine differentials — independent conditioned fixpoints,
+//     magic-set queries and maintained views running on several threads
+//     through one shared interner (on both condition backends) must each
+//     emit *identical* tables to a sequential run (same rows, same order,
+//     same conditions); a VersionedCDatabase driven by a writer thread
+//     while readers take snapshots and run conditioned queries must hand
+//     every reader a state identical to the sequential recompute of the
+//     version it read.
 //
 // The randomized families reproduce like the differential suite: every
 // case logs its seed, and setting PW_DIFF_SEED reruns exactly that case.
@@ -42,9 +44,9 @@
 #include "condition/interner.h"
 #include "decision/certainty.h"
 #include "decision/possibility.h"
-#include "ilalgebra/datalog_ctable.h"
 #include "datalog/ivm.h"
 #include "datalog/magic.h"
+#include "ilalgebra/datalog_ctable.h"
 #include "tables/ctable.h"
 #include "tables/snapshot.h"
 #include "tables/updates.h"
@@ -299,44 +301,67 @@ TEST(SharedInternerStressTest, ConcurrentImpliesAndSatisfiable) {
   for (std::thread& t : threads) t.join();
 }
 
-// --- Parallel fixpoint vs the sequential schedule ---------------------------
+// --- Concurrent fixpoints over one shared interner --------------------------
+//
+// A ConditionedFixpoint is single-owner, but independent fixpoints on
+// different threads may intern through one interner in shared mode. Each
+// thread builds its own input (row id caches are per-table mutable state)
+// and runs the same evaluation; every result must be identical to a
+// sequential run on a private interner — exported conditions are the
+// canonical form of their interned ids, so they compare equal across
+// interner instances.
 
-DatalogProgram TransitiveClosure() {
-  DatalogProgram p({2, 2}, 1);
-  DatalogRule base;
-  base.head = {1, Tuple{V(100), V(101)}};
-  base.body = {{0, Tuple{V(100), V(101)}}};
-  p.AddRule(base);
-  DatalogRule step;
-  step.head = {1, Tuple{V(100), V(102)}};
-  step.body = {{1, Tuple{V(100), V(101)}}, {0, Tuple{V(101), V(102)}}};
-  p.AddRule(step);
-  return p;
-}
-
-/// Chain 0 -> 1 -> ... -> n with every `gap`-th edge through a null
-/// (shared: the same null each time), like the bench workload — large
-/// enough deltas to actually engage the parallel rounds.
-CDatabase Chain(int n, int gap, bool shared) {
-  CTable t(2);
-  for (int i = 0; i < n; ++i) {
-    if (gap > 0 && i % gap == gap - 1) {
-      VarId null = shared ? 0 : i;
-      t.AddRow(Tuple{C(i), V(null)});
-      t.AddRow(Tuple{V(null), C(i + 1)});
-    } else {
-      t.AddRow(Tuple{C(i), C(i + 1)});
-    }
-  }
-  return CDatabase{t};
-}
+using testutil::NullChain;
+using testutil::TransitiveClosure;
 
 void ExpectIdenticalDatabases(const CDatabase& a, const CDatabase& b) {
   ASSERT_EQ(a.num_tables(), b.num_tables());
   for (size_t i = 0; i < a.num_tables(); ++i) {
-    // Row-for-row, condition-for-condition: the parallel schedule promises
-    // byte-identity, not just set equality.
+    // Row-for-row, condition-for-condition: byte-identity, not just set
+    // equality.
     ASSERT_EQ(a.table(i), b.table(i)) << "table " << i;
+  }
+}
+
+constexpr int kFixpointThreads = 4;
+
+/// Runs `body(thread)` on kFixpointThreads threads at once and joins them.
+template <typename Body>
+void RunOnThreads(Body body) {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kFixpointThreads; ++t) threads.emplace_back(body, t);
+  for (std::thread& th : threads) th.join();
+}
+
+/// Runs the conditioned fixpoint of `program` over `make_db()` on every
+/// thread through one shared interner, and checks each result and its
+/// row-level counters against a sequential run on a private interner.
+template <typename MakeDb>
+void ExpectConcurrentFixpointsIdentical(const DatalogProgram& program,
+                                        MakeDb make_db,
+                                        DatalogCTableOptions options) {
+  ConditionInterner private_interner;
+  DatalogCTableOptions seq = options;
+  seq.interner = &private_interner;
+  ConditionedFixpointStats seq_stats;
+  CDatabase seq_out = DatalogOnCTables(program, make_db(), &seq_stats, seq);
+
+  ConditionInterner shared_interner;
+  shared_interner.EnableSharing();
+  options.interner = &shared_interner;
+  std::vector<CDatabase> outs(kFixpointThreads);
+  std::vector<ConditionedFixpointStats> stats(kFixpointThreads);
+  RunOnThreads([&](int t) {
+    outs[t] = DatalogOnCTables(program, make_db(), &stats[t], options);
+  });
+  for (int t = 0; t < kFixpointThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ExpectIdenticalDatabases(outs[t], seq_out);
+    EXPECT_EQ(stats[t].derived_rows, seq_stats.derived_rows);
+    EXPECT_EQ(stats[t].duplicate_rows, seq_stats.duplicate_rows);
+    EXPECT_EQ(stats[t].subsumed_rows, seq_stats.subsumed_rows);
+    EXPECT_EQ(stats[t].rounds, seq_stats.rounds);
+    EXPECT_EQ(stats[t].magic_facts, seq_stats.magic_facts);
   }
 }
 
@@ -345,115 +370,81 @@ TEST(ParallelFixpointTest, IdenticalToSequentialOnChains) {
     int n;
     int gap;
     bool shared;
-    bool use_index;
   };
-  const Case cases[] = {
-      {64, 0, false, true},  {64, 0, false, false}, {24, 3, true, true},
-      {24, 3, true, false},  {12, 4, false, true},
-  };
-  DatalogProgram tc = TransitiveClosure();
+  const Case cases[] = {{64, 0, false}, {24, 3, true}, {12, 4, false}};
   for (const Case& c : cases) {
-    CDatabase db = Chain(c.n, c.gap, c.shared);
-
-    DatalogCTableOptions seq;
-    seq.use_index = c.use_index;
-    ConditionedFixpointStats seq_stats;
-    CDatabase seq_out = DatalogOnCTables(tc, db, &seq_stats, seq);
-
-    ConditionInterner shared_interner;
-    shared_interner.EnableSharing();
-    DatalogCTableOptions par;
-    par.use_index = c.use_index;
-    par.interner = &shared_interner;
-    par.num_threads = 4;
-    ConditionedFixpointStats par_stats;
-    CDatabase par_out = DatalogOnCTables(tc, db, &par_stats, par);
-
-    ExpectIdenticalDatabases(par_out, seq_out);
-    // The insert sequence is identical, so every row-level counter matches;
-    // only join-side counters (pruned branches, index probes) may differ.
-    EXPECT_EQ(par_stats.derived_rows, seq_stats.derived_rows);
-    EXPECT_EQ(par_stats.duplicate_rows, seq_stats.duplicate_rows);
-    EXPECT_EQ(par_stats.subsumed_rows, seq_stats.subsumed_rows);
-    EXPECT_EQ(par_stats.unsatisfiable_rows, seq_stats.unsatisfiable_rows);
-    EXPECT_EQ(par_stats.rounds, seq_stats.rounds);
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " gap=" + std::to_string(c.gap));
+    ExpectConcurrentFixpointsIdentical(
+        TransitiveClosure(),
+        [&] { return NullChain(c.n, c.gap, c.shared); }, {});
   }
 }
 
 TEST(ParallelFixpointTest, MagicGuardedRuleIdenticalToSequential) {
-  // The magic rewrite of tc(0, ?) over the null-routed DAG: its guarded rule
-  // tc#bf(X,Y) :- m.tc#bf(X), edge(X,Z), tc#bf(Z,Y) fires with the delta on
-  // its last atom, where the cost-ordered join departs furthest from body
-  // order.
-  DatalogProgram tc = testutil::RightRecursiveTc();
-  MagicRewriteResult rewrite =
-      MagicRewrite(tc, {1, {ConstId{0}, std::nullopt}});
-  CDatabase db = testutil::NullRoutedDag(24);
-  ConditionInterner shared_interner;
-  shared_interner.EnableSharing();
+  // The magic rewrite of tc(0, ?) over the null-routed DAG: demand facts
+  // and guarded rules interned concurrently through the shared interner.
+  MagicRewriteResult rewrite = MagicRewrite(testutil::RightRecursiveTc(),
+                                            {1, {ConstId{0}, std::nullopt}});
   DatalogCTableOptions options;
-  options.interner = &shared_interner;
   options.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
-  ConditionedFixpointStats seq_stats;
-  CDatabase seq_out =
-      DatalogOnCTables(rewrite.program, db, &seq_stats, options);
-  options.num_threads = 4;
-  ConditionedFixpointStats par_stats;
-  CDatabase par_out =
-      DatalogOnCTables(rewrite.program, db, &par_stats, options);
-
-  // Row-for-row and condition-for-condition; on one interner an exported
-  // condition is its interned id's canonical form, so ids agree too.
-  ExpectIdenticalDatabases(par_out, seq_out);
-  EXPECT_EQ(par_stats.derived_rows, seq_stats.derived_rows);
-  EXPECT_EQ(par_stats.magic_facts, seq_stats.magic_facts);
-  // Worker-private index caches build their own indexes, so more builds
-  // than the sequential run shows the rounds did fan out.
-  EXPECT_GT(par_stats.index_builds, seq_stats.index_builds);
+  ExpectConcurrentFixpointsIdentical(
+      rewrite.program, [] { return testutil::NullRoutedDag(24); }, options);
 }
 
-TEST(ParallelFixpointTest, FallsBackWhenInternerNotShared) {
-  // num_threads > 1 without EnableSharing: silently sequential, same
-  // result (the option documents this fallback).
-  DatalogProgram tc = TransitiveClosure();
-  CDatabase db = Chain(48, 0, false);
-  ConditionInterner plain;
+TEST(ParallelFixpointTest, DDBackendIdenticalToSequentialOnChains) {
+  // Decision-diagram fixpoints on several threads: each owns its diagram
+  // store, while the conjunctions under the diagrams' atoms are interned
+  // through the shared interner.
   DatalogCTableOptions options;
-  options.interner = &plain;
-  options.num_threads = 4;
-  CDatabase out = DatalogOnCTables(tc, db, nullptr, options);
-  CDatabase seq_out = DatalogOnCTables(tc, db, nullptr, {});
-  ExpectIdenticalDatabases(out, seq_out);
+  options.condition_backend = ConditionBackendKind::kDecisionDiagrams;
+  for (auto [n, gap] : {std::pair{24, 0}, std::pair{9, 3}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " gap=" + std::to_string(gap));
+    ExpectConcurrentFixpointsIdentical(
+        TransitiveClosure(), [&] { return NullChain(n, gap); }, options);
+  }
 }
 
 TEST(ParallelFixpointTest, MaterializedViewMaintainsIdenticallyInParallel) {
-  // The IVM resume paths (Run() re-entry and RunCone after deletes) under
-  // num_threads=4 against the sequential view, over an update stream.
-  DatalogProgram tc = TransitiveClosure();
-  CDatabase db = Chain(32, 0, false);
-
-  MaterializedView seq_view(tc, db);
+  // The IVM resume paths (Run() re-entry and RunCone after deletes): one
+  // maintained view per thread over the shared interner, driven through
+  // the same update stream, must match the sequential view after every
+  // update.
+  constexpr int kUpdates = 32;
+  auto apply = [](MaterializedView& view, int u) {
+    if (u % 8 == 7) {
+      view.Delete(0, Fact{u, u + 1});
+    } else {
+      view.Insert(0, Fact{32 + u, 32 + u + 1});
+    }
+  };
+  std::vector<CDatabase> expected;
+  {
+    MaterializedView seq_view(TransitiveClosure(), NullChain(32, 0));
+    for (int u = 0; u < kUpdates; ++u) {
+      apply(seq_view, u);
+      expected.push_back(seq_view.Materialized());
+    }
+  }
 
   ConditionInterner shared_interner;
   shared_interner.EnableSharing();
-  MaterializedViewOptions par_options;
-  par_options.eval.interner = &shared_interner;
-  par_options.eval.num_threads = 4;
-  MaterializedView par_view(tc, db, par_options);
-
-  for (int u = 0; u < 32; ++u) {
-    if (u % 8 == 7) {
-      Fact edge{u, u + 1};
-      seq_view.Delete(0, edge);
-      par_view.Delete(0, edge);
-    } else {
-      Fact edge{32 + u, 32 + u + 1};
-      seq_view.Insert(0, edge);
-      par_view.Insert(0, edge);
+  MaterializedViewOptions options;
+  options.eval.interner = &shared_interner;
+  std::vector<std::vector<CDatabase>> got(kFixpointThreads);
+  RunOnThreads([&](int t) {
+    MaterializedView view(TransitiveClosure(), NullChain(32, 0), options);
+    for (int u = 0; u < kUpdates; ++u) {
+      apply(view, u);
+      got[t].push_back(view.Materialized());
     }
-    CDatabase seq_mat = seq_view.Materialized();
-    CDatabase par_mat = par_view.Materialized();
-    ExpectIdenticalDatabases(par_mat, seq_mat);
+  });
+  for (int t = 0; t < kFixpointThreads; ++t) {
+    ASSERT_EQ(got[t].size(), expected.size());
+    for (int u = 0; u < kUpdates; ++u) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " update " +
+                   std::to_string(u));
+      ExpectIdenticalDatabases(got[t][u], expected[u]);
+    }
   }
 }
 
@@ -519,36 +510,6 @@ TEST(SharedDDBackendStressTest, ThreadsAgreeOnEveryIdAndVerdict) {
             << "thread " << th << " pair " << k;
       }
     }
-  }
-}
-
-TEST(ParallelFixpointTest, DDBackendIdenticalToSequentialOnChains) {
-  // The parallel fixpoint on the decision-diagram backend: workers race
-  // into the diagram unique-table and op caches while the round schedule
-  // Or-merges each tuple's derivations, yet the deterministic insert replay
-  // must make the parallel run byte-identical to the sequential one — same
-  // rows, same order, same exported conditions.
-  DatalogProgram tc = TransitiveClosure();
-  // Ground chain, then a null-gapped one at a size whose condition
-  // diversity stays feasible (distinct nulls grow the diagrams — and any
-  // other representation — exponentially with chain length).
-  for (auto [n, gap] : {std::pair{24, 0}, std::pair{9, 3}}) {
-    CDatabase db = Chain(n, gap, /*shared=*/false);
-
-    ConditionInterner seq_interner;
-    DatalogCTableOptions seq;
-    seq.interner = &seq_interner;
-    seq.condition_backend = ConditionBackendKind::kDecisionDiagrams;
-    CDatabase seq_out = DatalogOnCTables(tc, db, nullptr, seq);
-
-    ConditionInterner shared_interner;
-    shared_interner.EnableSharing();
-    DatalogCTableOptions par = seq;
-    par.interner = &shared_interner;
-    par.num_threads = 4;
-    CDatabase par_out = DatalogOnCTables(tc, db, nullptr, par);
-
-    ExpectIdenticalDatabases(par_out, seq_out);
   }
 }
 

@@ -248,6 +248,24 @@ TEST(IvmTest, OutOfRangePredicateUpdateIsNoOp) {
   EXPECT_EQ(view.stats().updates_applied, 0u);
   ExpectMatchesRecompute(view);
 }
+
+TEST(IvmTest, WrongArityUpdateIsNoOp) {
+  // A fact whose arity is not the base predicate's must neither reach the
+  // base table nor be seeded into the fixpoint, where joins would read past
+  // its end. (Debug builds assert instead, so this only runs under NDEBUG.)
+  MaterializedView view(TransitiveClosure(), Chain(3));
+  const CDatabase before = view.Materialized();
+  const size_t base_rows = view.base().table(0).num_rows();
+  view.Insert(0, Fact{0});
+  view.Insert(0, Fact{0, 1, 2});
+  EXPECT_FALSE(view.InsertIf(0, Fact{5}, Conjunction{}));
+  view.Delete(0, Fact{1});
+  view.Delete(0, Fact{1, 2, 3});
+  EXPECT_EQ(view.stats().updates_applied, 0u);
+  EXPECT_EQ(view.base().table(0).num_rows(), base_rows);
+  EXPECT_EQ(view.Materialized().ToString(), before.ToString());
+  ExpectMatchesRecompute(view);
+}
 #endif
 
 TEST(IvmTest, VariableRowDeleteStaysIdentical) {

@@ -96,7 +96,8 @@ TEST(JoinPlanTest, ProjectionEmittingConstantCollapsesAtoms) {
 }
 
 TEST(JoinPlanTest, TernaryProductFlattensToThreeLeaves) {
-  // product(product(a, b), c) — the binary fusion never fused this shape.
+  // product(product(a, b), c): every product operand is flattened, so the
+  // plan sees all three relations as leaves.
   RaExpr prod =
       RaExpr::Product(TwoRelProduct(), RaExpr::Rel(2, 2));
   RaExpr q = RaExpr::Select(prod, {EqCols(1, 2), EqCols(3, 4)});
@@ -108,6 +109,11 @@ TEST(JoinPlanTest, TernaryProductFlattensToThreeLeaves) {
   ASSERT_EQ(plan.conjuncts.size(), 2u);
   EXPECT_EQ(plan.conjuncts[0].leaves, (std::vector<int>{0, 1}));
   EXPECT_EQ(plan.conjuncts[1].leaves, (std::vector<int>{1, 2}));
+  // A selection inside a product operand flattens into the same plan.
+  RaExpr inner = RaExpr::Select(TwoRelProduct(), {EqCols(1, 2)});
+  RaExpr nested = RaExpr::Select(RaExpr::Product(inner, RaExpr::Rel(2, 2)),
+                                 {EqCols(3, 4)});
+  EXPECT_EQ(PlanJoin(nested).leaves.size(), 3u);
 }
 
 TEST(JoinPlanTest, CrossLeafInequalityIsResidual) {
@@ -152,24 +158,6 @@ TEST(JoinPlanTest, ReplayEventsFollowTreeOrder) {
   EXPECT_EQ(plan.replay[2].kind, ReplayEvent::kLeafLocal);
   EXPECT_EQ(plan.replay[2].leaf, 1);
   EXPECT_EQ(plan.replay[3].kind, ReplayEvent::kAtom);
-}
-
-TEST(JoinPlanTest, BinaryOnlyCollapsesAtFirstProduct) {
-  // In the PR 3 baseline mode the product operands stay atomic leaves,
-  // whatever their shape; the prefix above still flattens.
-  RaExpr inner = RaExpr::Select(TwoRelProduct(), {EqCols(1, 2)});
-  RaExpr q = RaExpr::Select(RaExpr::Product(inner, RaExpr::Rel(2, 2)),
-                            {EqCols(3, 4)});
-  JoinPlanOptions binary;
-  binary.binary_only = true;
-  JoinPlan plan = PlanJoin(q, binary);
-  ASSERT_TRUE(plan.fused);
-  ASSERT_EQ(plan.leaves.size(), 2u);
-  EXPECT_EQ(plan.leaves[0].expr.op(), RaOp::kSelect);  // subtree, unflattened
-  EXPECT_EQ(plan.leaves[0].arity, 4);
-  EXPECT_EQ(plan.leaves[1].expr.op(), RaOp::kRel);
-  // The full planner sees three leaves in the same tree.
-  EXPECT_EQ(PlanJoin(q).leaves.size(), 3u);
 }
 
 TEST(JoinPlanTest, GreedyOrderSeedsSmallestAndPrefersConnected) {

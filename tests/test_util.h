@@ -3,22 +3,29 @@
 // Collects the setup that used to be copy-pasted across the test files:
 // compact table construction, the standard small shapes for randomized
 // property tests (small enough for exhaustive world enumeration), canonical
-// world rendering up to renaming of fresh constants, and the paper's Fig. 3
-// example table.
+// world rendering up to renaming of fresh constants, the paper's Fig. 3
+// example table, and the two checks every conditioned fixpoint must pass:
+// the per-world oracle and the canonical form of its output.
 
 #ifndef PW_TESTS_TEST_UTIL_H_
 #define PW_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "condition/backend.h"
+#include "condition/interner.h"
 #include "core/instance.h"
 #include "core/tuple.h"
+#include "datalog/eval.h"
 #include "datalog/program.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "tables/ctable.h"
+#include "tables/text_format.h"
 #include "tables/world_enum.h"
 #include "workload/random_gen.h"
 
@@ -88,6 +95,33 @@ inline CTable TinyConditionedTable() {
                            {{V(1), V(0)}, Conjunction()}});
   t.SetGlobal(Conjunction{Neq(V(1), C(3))});
   return t;
+}
+
+/// Left-recursive transitive closure, edge = predicate 0, tc = 1:
+/// tc(X,Y) :- edge(X,Y).  tc(X,Z) :- tc(X,Y), edge(Y,Z).
+inline DatalogProgram TransitiveClosure() {
+  DatalogProgram p({2, 2}, 1);
+  p.AddRule({{1, {V(100), V(101)}}, {{0, {V(100), V(101)}}}});
+  p.AddRule({{1, {V(100), V(102)}},
+             {{1, {V(100), V(101)}}, {0, {V(101), V(102)}}}});
+  return p;
+}
+
+/// Chain 0 -> 1 -> ... -> n where every `gap`-th edge goes through a null
+/// (0: none): the same null at every gap when `shared`, otherwise a fresh
+/// one per gap.
+inline CDatabase NullChain(int n, int gap, bool shared = false) {
+  CTable t(2);
+  for (int i = 0; i < n; ++i) {
+    if (gap > 0 && i % gap == gap - 1) {
+      VarId null = shared ? 0 : i;
+      t.AddRow(Tuple{C(i), V(null)});
+      t.AddRow(Tuple{V(null), C(i + 1)});
+    } else {
+      t.AddRow(Tuple{C(i), C(i + 1)});
+    }
+  }
+  return CDatabase{t};
 }
 
 /// Right-recursive transitive closure, edge = predicate 0, tc = 1:
@@ -189,6 +223,60 @@ inline std::vector<std::string> CanonicalImageWorlds(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+/// The per-world oracle of a conditioned fixpoint: for every valuation
+/// satisfying `db`'s global condition, sigma(image) == the DATALOG fixpoint
+/// of sigma(db), computed by the complete-database evaluator.
+inline void ExpectRepresentsFixpointOfEveryWorld(const DatalogProgram& program,
+                                                 const CDatabase& db,
+                                                 const CDatabase& image) {
+  WorldEnumOptions wopts;
+  bool all_match = true;
+  ForEachSatisfyingValuation(db, wopts, [&](const Valuation& v) {
+    Instance world = v.Apply(db);
+    Instance expected = SemiNaiveEval(program, world);
+    Instance got = v.Apply(image);
+    if (got != expected) {
+      all_match = false;
+      return false;
+    }
+    return true;
+  });
+  EXPECT_TRUE(all_match) << FormatCDatabase(db) << image.ToString();
+}
+
+/// Asserts that a conditioned fixpoint's exported tables are canonical:
+/// every row is satisfiable together with the global condition, and no row's
+/// condition implies that of another row with the same tuple (each tuple
+/// keeps a covering antichain of its weakest conditions — no duplicates, no
+/// subsumed rows). On the decision-diagram backend a tuple's rows are the
+/// disjuncts of its one diagram: mutually exclusive and each satisfiable,
+/// but checked against the global condition only as a whole, so there a
+/// row need only be satisfiable on its own.
+inline void ExpectCanonicalFixpoint(const CDatabase& image) {
+  ConditionInterner& interner = ConditionInterner::Global();
+  const bool dd =
+      ResolveConditionBackendKind(ConditionBackendKind::kDefault) ==
+      ConditionBackendKind::kDecisionDiagrams;
+  const ConjId global = dd ? ConditionInterner::kTrueConj
+                           : image.CombinedGlobalId(interner);
+  for (size_t p = 0; p < image.num_tables(); ++p) {
+    const CTable& table = image.table(p);
+    for (size_t i = 0; i < table.num_rows(); ++i) {
+      const CRow& row = table.row(i);
+      const ConjId cond = row.LocalId(interner);
+      EXPECT_TRUE(interner.Satisfiable(interner.And(global, cond)))
+          << "row " << i << " of table " << p
+          << " holds in no world:\n" << image.ToString();
+      for (size_t j = 0; j < table.num_rows(); ++j) {
+        if (j == i || table.row(j).tuple != row.tuple) continue;
+        EXPECT_FALSE(interner.Implies(cond, table.row(j).LocalId(interner)))
+            << "row " << i << " of table " << p << " is subsumed by row "
+            << j << ":\n" << image.ToString();
+      }
+    }
+  }
 }
 
 }  // namespace testutil

@@ -113,16 +113,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UpdatesPropertyTest, ::testing::Range(1, 25));
 // --- Guard pruning (the interned delete path) --------------------------------
 
 TEST(UpdatesTest, DeleteDedupesCollapsedSiblingGuards) {
-  // Deleting (1,1) from the row (x,x): the naive expansion emits the guard
-  // x != 1 once per position — identical conditions. The pruned path keeps
-  // one; the plain path keeps the historical two; both represent the same
-  // worlds.
+  // Deleting (1,1) from the row (x,x): the per-position expansion yields
+  // the guard x != 1 once per position — identical conditions. Only one
+  // copy is kept.
   CTable t(2);
   t.AddRow(Tuple{V(0), V(0)});
   CTable pruned = DeleteFact(t, Fact{1, 1});
   EXPECT_EQ(pruned.num_rows(), 1u);
-  CTable plain = DeleteFact(t, Fact{1, 1}, {.use_interner = false});
-  EXPECT_EQ(plain.num_rows(), 2u);
   for (const Instance& w : EnumerateWorlds(CDatabase{pruned}, {{1}, 0})) {
     EXPECT_FALSE(w.relation(0).Contains(Fact{1, 1}));
   }
@@ -215,16 +212,36 @@ TEST(UpdatesTest, InsertFactIfUnsatisfiableConditionAddsNothing) {
   // The condition contradicts the global: the fact would join no world.
   CTable out = InsertFactIf(t, Fact{9}, Conjunction{Neq(V(0), C(1))});
   EXPECT_EQ(out.num_rows(), 1u);
-  // The plain path keeps the dead row (the historical behavior — same
-  // rep(), redundant storage).
-  CTable plain =
-      InsertFactIf(t, Fact{9}, Conjunction{Neq(V(0), C(1))},
-                   {.use_interner = false});
-  EXPECT_EQ(plain.num_rows(), 2u);
-  for (const Instance& w : EnumerateWorlds(CDatabase{plain})) {
+  for (const Instance& w : EnumerateWorlds(CDatabase{out})) {
     EXPECT_FALSE(w.relation(0).Contains(Fact{9}));
   }
 }
+
+#ifdef NDEBUG
+TEST(UpdatesTest, WrongArityFactLeavesTableUnchanged) {
+  // The arity contract holds in release builds too: a wrong-arity fact
+  // would otherwise append a malformed row, or make the deletion read past
+  // the fact's end. (Debug builds assert instead, so this only runs under
+  // NDEBUG.)
+  CTable t(2);
+  t.AddRow(Tuple{C(1), V(0)});
+  t.AddRow(Tuple{V(1), V(2)}, Conjunction{Neq(V(1), C(3))});
+  const CTable before = t;
+
+  EXPECT_EQ(InsertFact(t, Fact{1}), before);
+  EXPECT_EQ(InsertFactIf(t, Fact{1, 2, 3}, Conjunction{}), before);
+  EXPECT_EQ(DeleteFact(t, Fact{1}), before);
+
+  InsertFactInPlace(t, Fact{1, 2, 3});
+  EXPECT_FALSE(InsertFactIfInPlace(t, Fact{1}, Conjunction{}));
+  DeleteDelta delta = DeleteFactInPlace(t, Fact{1});
+  EXPECT_FALSE(delta.changed);
+  EXPECT_TRUE(delta.kept.empty());
+  EXPECT_TRUE(delta.removed.empty());
+  EXPECT_TRUE(delta.added.empty());
+  EXPECT_EQ(t, before);
+}
+#endif
 
 // --- In-place variants: delta reporting and cache preservation ---------------
 
