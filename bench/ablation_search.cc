@@ -1,9 +1,8 @@
 // ABLATION — design choices inside the exact decision procedures.
 //
-//   (a) MembershipSearch: dynamic most-constrained-first ordering with
-//       forward checking, and the coverage dead-end prune, versus the naive
-//       static backtracking. Measured on 3-colorability e-table membership
-//       (Theorem 3.1(2)) instances.
+//   (a) MembershipSearch (most-constrained-first with forward checking and
+//       the coverage dead-end prune, its only mode) on 3-colorability
+//       e-table membership (Theorem 3.1(2)) instances, swept over graph size.
 //   (b) DATALOG evaluation: semi-naive versus naive fixpoint.
 //   (c) Bounded possibility: the Imielinski–Lipski image algorithm
 //       (Theorem 5.2(1)) versus raw valuation enumeration.
@@ -30,21 +29,15 @@ MembershipInstance ColorInstance(int nodes, uint32_t seed) {
 
 void BM_Ablation_Membership(benchmark::State& state) {
   int nodes = static_cast<int>(state.range(0));
-  int mode = static_cast<int>(state.range(1));
   MembershipInstance inst = ColorInstance(nodes, 7 + nodes);
-  MembershipSearchOptions options;
-  options.forward_checking = mode >= 1;
-  options.coverage_pruning = mode >= 2;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        MembershipSearch(inst.database, inst.instance, options));
+    benchmark::DoNotOptimize(MembershipSearch(inst.database, inst.instance));
   }
-  static const char* kLabels[] = {"static order", "+forward checking",
-                                  "+coverage prune"};
-  state.SetLabel(kLabels[mode]);
 }
 BENCHMARK(BM_Ablation_Membership)
-    ->ArgsProduct({{6, 8, 10}, {0, 1, 2}})
+    ->Arg(6)
+    ->Arg(8)
+    ->Arg(10)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Ablation_DatalogEval(benchmark::State& state) {

@@ -48,6 +48,7 @@ class Instance {
   size_t TotalFacts() const;
 
   friend bool operator==(const Instance&, const Instance&) = default;
+  friend auto operator<=>(const Instance&, const Instance&) = default;
 
   std::string ToString(const SymbolTable* symbols = nullptr) const;
 

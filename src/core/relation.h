@@ -58,6 +58,7 @@ class Relation {
   std::vector<Fact> ToVector() const;
 
   friend bool operator==(const Relation&, const Relation&) = default;
+  friend auto operator<=>(const Relation&, const Relation&) = default;
 
   /// Multi-line rendering, one fact per line.
   std::string ToString(const SymbolTable* symbols = nullptr) const;

@@ -22,21 +22,32 @@ bool IsETableDatabase(const CDatabase& database) {
   return database.Kind() <= TableKind::kETable;
 }
 
+/// Images remembered by ForallWorlds; bounds its memory when the lhs images
+/// never repeat.
+constexpr size_t kMaxPassedImages = 4096;
+
 /// Runs the forall-side loop: true iff every world of lhs_view(rep(lhs))
-/// passes `member_test`.
+/// passes `member_test`. The verdict depends on the image alone and many
+/// valuations share one image, so each distinct image is tested once.
 bool ForallWorlds(const View& lhs_view, const CDatabase& lhs,
                   const std::vector<ConstId>& rhs_constants,
                   const std::function<bool(const Instance&)>& member_test) {
   bool contained = true;
+  std::set<Instance> passed;
   WorldEnumOptions options;
   options.extra_constants = rhs_constants;
   for (ConstId c : lhs_view.Constants()) options.extra_constants.push_back(c);
   ForEachWorld(lhs, options,
-               [&lhs_view, &member_test, &contained](const Instance& world,
-                                                     const Valuation&) {
-                 if (!member_test(lhs_view.Eval(world))) {
+               [&lhs_view, &member_test, &contained, &passed](
+                   const Instance& world, const Valuation&) {
+                 Instance image = lhs_view.Eval(world);
+                 if (passed.count(image) > 0) return true;
+                 if (!member_test(image)) {
                    contained = false;
                    return false;  // counterexample world found
+                 }
+                 if (passed.size() < kMaxPassedImages) {
+                   passed.insert(std::move(image));
                  }
                  return true;
                });

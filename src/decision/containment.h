@@ -43,16 +43,18 @@ std::optional<bool> ContGTablesInETables(const CDatabase& lhs,
 
 /// coNP containment: any view of any lhs c-database, rhs a Codd-table
 /// database with the identity query. Enumerates lhs valuations; each
-/// membership test inside is the PTIME matching algorithm. Returns
-/// std::nullopt if rhs is not a Codd-table database.
+/// distinct image gets one membership test, the PTIME matching algorithm.
+/// Returns std::nullopt if rhs is not a Codd-table database.
 std::optional<bool> ContViewInCoddTables(const View& lhs_view,
                                          const CDatabase& lhs,
                                          const CDatabase& rhs);
 
 /// The general Pi-2-p procedure: for every valuation of the lhs (up to
 /// fresh-constant renaming), test membership of the lhs image in the rhs
-/// view. Exponential in both input sizes in the worst case — as the
-/// Pi-2-p-completeness results of Theorem 4.2 require.
+/// view. The inner (exists-side) search runs once per distinct image:
+/// images that already passed are remembered, up to a fixed cap. Exponential
+/// in both input sizes in the worst case — as the Pi-2-p-completeness
+/// results of Theorem 4.2 require.
 bool ContainmentSearch(const View& lhs_view, const CDatabase& lhs,
                        const View& rhs_view, const CDatabase& rhs);
 

@@ -1,7 +1,6 @@
 #include "decision/membership.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "condition/binding_env.h"
@@ -68,12 +67,13 @@ bool CoddTableMembership(const CTable& table, const Relation& relation) {
   return MaxBipartiteMatching(g).size == n;
 }
 
-/// Backtracking state for MembershipSearch.
+/// Backtracking state for MembershipSearch. Facts are addressed by their
+/// index in `facts[table]`.
 struct SearchState {
   struct RowTask {
     const CRow* row = nullptr;
     size_t table = 0;
-    std::vector<const Fact*> candidates;  // facts this row could map onto
+    std::vector<int> candidates;           // facts this row could map onto
     std::vector<CondAtom> suppress_atoms;  // atoms whose negation kills it
     bool done = false;
   };
@@ -81,17 +81,19 @@ struct SearchState {
   /// One branching option for a task: either map onto a fact, or suppress
   /// by violating one local atom.
   struct Option {
-    const Fact* fact = nullptr;       // null = suppression
+    int fact = -1;                    // -1 = suppression
     const CondAtom* atom = nullptr;   // suppression atom
   };
 
   std::vector<RowTask> tasks;
+  std::vector<std::vector<Fact>> facts;
   // Per (table, fact) coverage counts and per-table uncovered tallies.
-  std::vector<std::map<Fact, int>> covered;
+  std::vector<std::vector<int>> covered;
   std::vector<int> uncovered;
+  // Per-node workspace: facts some pending task can still map onto.
+  std::vector<std::vector<char>> coverable;
   // tasks_left[k] = number of unprocessed tasks of table k (for pruning).
   std::vector<int> tasks_left;
-  MembershipSearchOptions options;
   BindingEnv env;
 };
 
@@ -107,8 +109,9 @@ bool AssertTupleEqualsFact(BindingEnv& env, const Tuple& tuple,
 /// assertions in place and returns true; on failure the caller reverts.
 bool TryOption(SearchState& s, const SearchState::RowTask& task,
                const SearchState::Option& option) {
-  if (option.fact != nullptr) {
-    return AssertTupleEqualsFact(s.env, task.row->tuple, *option.fact) &&
+  if (option.fact >= 0) {
+    return AssertTupleEqualsFact(s.env, task.row->tuple,
+                                 s.facts[task.table][option.fact]) &&
            s.env.Assert(task.row->local());
   }
   return s.env.AssertAtom(Negate(*option.atom));
@@ -129,65 +132,48 @@ bool SearchRecurse(SearchState& s, size_t remaining) {
     if (s.uncovered[t] > s.tasks_left[t]) return false;
   }
 
-  // Forward checking: viable options per pending task, and the set of
-  // facts still coverable by some pending task.
+  // Forward checking: viable options per pending task, and the facts still
+  // coverable by some pending task.
   int best = -1;
   bool forced = false;
   std::vector<SearchState::Option> best_options;
-  if (s.options.forward_checking) {
-    std::vector<std::set<Fact>> coverable(s.uncovered.size());
-    for (size_t i = 0; i < s.tasks.size(); ++i) {
-      SearchState::RowTask& task = s.tasks[i];
-      if (task.done) continue;
-      std::vector<SearchState::Option> options;
-      for (const Fact* fact : task.candidates) {
-        size_t mark = s.env.Mark();
-        bool ok = AssertTupleEqualsFact(s.env, task.row->tuple, *fact) &&
-                  s.env.Assert(task.row->local());
-        s.env.Revert(mark);
-        if (ok) {
-          options.push_back({fact, nullptr});
-          coverable[task.table].insert(*fact);
-        }
-      }
-      for (const CondAtom& atom : task.suppress_atoms) {
-        size_t mark = s.env.Mark();
-        bool ok = s.env.AssertAtom(Negate(atom));
-        s.env.Revert(mark);
-        if (ok) options.push_back({nullptr, &atom});
-      }
-      if (options.empty()) return false;  // dead end
-      if (best == -1 || options.size() < best_options.size()) {
-        best = static_cast<int>(i);
-        best_options = std::move(options);
-        if (best_options.size() == 1) {
-          forced = true;
-          break;  // forced move: branch immediately
-        }
+  for (std::vector<char>& c : s.coverable) std::fill(c.begin(), c.end(), 0);
+  for (size_t i = 0; i < s.tasks.size(); ++i) {
+    SearchState::RowTask& task = s.tasks[i];
+    if (task.done) continue;
+    std::vector<SearchState::Option> options;
+    for (int fact : task.candidates) {
+      size_t mark = s.env.Mark();
+      bool ok = TryOption(s, task, {fact, nullptr});
+      s.env.Revert(mark);
+      if (ok) {
+        options.push_back({fact, nullptr});
+        s.coverable[task.table][fact] = 1;
       }
     }
-    if (!forced && s.options.coverage_pruning) {
-      // Coverage dead-end check: every still-uncovered fact must be
-      // mappable by some pending task under the current bindings.
-      for (size_t t = 0; t < s.uncovered.size(); ++t) {
-        if (s.uncovered[t] == 0) continue;
-        for (const auto& [fact, count] : s.covered[t]) {
-          // covered[t] holds all facts of relation t (pre-seeded), so this
-          // scan visits exactly the uncovered ones via count == 0.
-          if (count == 0 && coverable[t].count(fact) == 0) return false;
-        }
-      }
+    for (const CondAtom& atom : task.suppress_atoms) {
+      size_t mark = s.env.Mark();
+      bool ok = s.env.AssertAtom(Negate(atom));
+      s.env.Revert(mark);
+      if (ok) options.push_back({-1, &atom});
     }
-  } else {
-    // Ablation mode: first pending task, raw option list.
-    for (size_t i = 0; i < s.tasks.size() && best == -1; ++i) {
-      if (s.tasks[i].done) continue;
+    if (options.empty()) return false;  // dead end
+    if (best == -1 || options.size() < best_options.size()) {
       best = static_cast<int>(i);
-      for (const Fact* fact : s.tasks[i].candidates) {
-        best_options.push_back({fact, nullptr});
+      best_options = std::move(options);
+      if (best_options.size() == 1) {
+        forced = true;
+        break;  // forced move: branch immediately
       }
-      for (const CondAtom& atom : s.tasks[i].suppress_atoms) {
-        best_options.push_back({nullptr, &atom});
+    }
+  }
+  if (!forced) {
+    // Coverage dead-end check: every still-uncovered fact must be mappable
+    // by some pending task under the current bindings.
+    for (size_t t = 0; t < s.uncovered.size(); ++t) {
+      if (s.uncovered[t] == 0) continue;
+      for (size_t f = 0; f < s.covered[t].size(); ++f) {
+        if (s.covered[t][f] == 0 && !s.coverable[t][f]) return false;
       }
     }
   }
@@ -199,20 +185,12 @@ bool SearchRecurse(SearchState& s, size_t remaining) {
   for (const SearchState::Option& option : best_options) {
     size_t mark = s.env.Mark();
     if (TryOption(s, task, option)) {
-      bool covered_new = false;
-      if (option.fact != nullptr) {
-        int& count = s.covered[k][*option.fact];
-        if (count == 0) {
-          --s.uncovered[k];
-          covered_new = true;
-        }
-        ++count;
+      if (option.fact >= 0 && s.covered[k][option.fact]++ == 0) {
+        --s.uncovered[k];
       }
       if (SearchRecurse(s, remaining - 1)) return true;
-      if (option.fact != nullptr) {
-        int& count = s.covered[k][*option.fact];
-        --count;
-        if (covered_new) ++s.uncovered[k];
+      if (option.fact >= 0 && --s.covered[k][option.fact] == 0) {
+        ++s.uncovered[k];
       }
     }
     s.env.Revert(mark);
@@ -236,26 +214,25 @@ std::optional<bool> MembershipCoddTables(const CDatabase& database,
   return true;
 }
 
-bool MembershipSearch(const CDatabase& database, const Instance& instance,
-                      const MembershipSearchOptions& options) {
+bool MembershipSearch(const CDatabase& database, const Instance& instance) {
   if (!ShapesMatch(database, instance)) return false;
 
   SearchState s;
-  s.options = options;
   if (!s.env.Assert(database.CombinedGlobal())) {
     return false;  // rep(database) is empty
   }
 
   size_t num_tables = database.num_tables();
+  s.facts.resize(num_tables);
   s.covered.resize(num_tables);
+  s.coverable.resize(num_tables);
   s.uncovered.assign(num_tables, 0);
   s.tasks_left.assign(num_tables, 0);
-
-  std::vector<std::vector<Fact>> facts(num_tables);
   for (size_t k = 0; k < num_tables; ++k) {
-    facts[k] = instance.relation(k).ToVector();
-    s.uncovered[k] = static_cast<int>(facts[k].size());
-    for (const Fact& f : facts[k]) s.covered[k][f] = 0;
+    s.facts[k] = instance.relation(k).ToVector();
+    s.uncovered[k] = static_cast<int>(s.facts[k].size());
+    s.covered[k].assign(s.facts[k].size(), 0);
+    s.coverable[k].assign(s.facts[k].size(), 0);
   }
 
   ConditionInterner& interner = ConditionInterner::Global();
@@ -268,8 +245,10 @@ bool MembershipSearch(const CDatabase& database, const Instance& instance,
       SearchState::RowTask task;
       task.row = &row;
       task.table = k;
-      for (const Fact& f : facts[k]) {
-        if (Unifiable(row.tuple, f)) task.candidates.push_back(&f);
+      for (size_t f = 0; f < s.facts[k].size(); ++f) {
+        if (Unifiable(row.tuple, s.facts[k][f])) {
+          task.candidates.push_back(static_cast<int>(f));
+        }
       }
       Conjunction simplified = row.local().Simplified();
       for (const CondAtom& atom : simplified.atoms()) {

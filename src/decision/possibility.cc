@@ -29,8 +29,28 @@ std::vector<ConstId> PatternConstants(const std::vector<LocatedFact>& pattern) {
   return {seen.begin(), seen.end()};
 }
 
+/// Asserts that `row` takes the value `fact` and that its local holds. On
+/// failure the caller reverts.
+bool AssertRowIsFact(BindingEnv& env, const CRow& row, const Fact& fact) {
+  for (size_t p = 0; p < fact.size(); ++p) {
+    if (!env.AssertEqual(row.tuple[p], Term::Const(fact[p]))) return false;
+  }
+  return env.Assert(row.local());
+}
+
+/// Trial-asserts `row` = `fact` and reverts.
+bool RowFits(BindingEnv& env, const CRow& row, const Fact& fact) {
+  size_t mark = env.Mark();
+  bool ok = AssertRowIsFact(env, row, fact);
+  env.Revert(mark);
+  return ok;
+}
+
 /// Backtracking over pattern facts: assign each to a row of the image
-/// c-table whose tuple can unify with it, consistently.
+/// c-table whose tuple can unify with it, consistently. A one-fact pattern
+/// takes the first row that fits; longer patterns branch on the fact with
+/// the fewest rows that still fit (forward checking fails a node as soon as
+/// some fact has none).
 bool AssignPattern(const CDatabase& image, const Conjunction& global,
                    const std::vector<LocatedFact>& pattern) {
   ConditionInterner& interner = ConditionInterner::Global();
@@ -39,8 +59,8 @@ bool AssignPattern(const CDatabase& image, const Conjunction& global,
   BindingEnv env;
   env.Assert(global);
 
-  std::function<bool(size_t)> go = [&](size_t i) {
-    if (i == pattern.size()) return true;
+  std::vector<std::vector<const CRow*>> candidates(pattern.size());
+  for (size_t i = 0; i < pattern.size(); ++i) {
     const LocatedFact& lf = pattern[i];
     if (lf.relation >= image.num_tables()) return false;
     const CTable& table = image.table(lf.relation);
@@ -51,20 +71,47 @@ bool AssignPattern(const CDatabase& image, const Conjunction& global,
       // not be tried against the environment (the verdict rides on the row's
       // cached interned id).
       if (!interner.Satisfiable(row.LocalId(interner))) continue;
-      size_t mark = env.Mark();
-      bool ok = true;
-      for (size_t p = 0; p < lf.fact.size(); ++p) {
-        if (!env.AssertEqual(row.tuple[p], Term::Const(lf.fact[p]))) {
-          ok = false;
-          break;
-        }
+      if (pattern.size() > 1) {
+        candidates[i].push_back(&row);
+      } else if (RowFits(env, row, lf.fact)) {
+        return true;
       }
-      if (ok && env.Assert(row.local()) && go(i + 1)) return true;
+    }
+    if (candidates[i].empty()) return false;
+  }
+
+  std::vector<bool> assigned(pattern.size(), false);
+  std::function<bool(size_t)> go = [&](size_t remaining) {
+    if (remaining == 0) return true;
+    size_t best = 0;
+    std::vector<const CRow*> best_rows;
+    std::vector<const CRow*> rows;
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      if (assigned[i]) continue;
+      rows.clear();
+      for (const CRow* row : candidates[i]) {
+        if (RowFits(env, *row, pattern[i].fact)) rows.push_back(row);
+      }
+      if (rows.empty()) return false;  // dead end
+      if (best_rows.empty() || rows.size() < best_rows.size()) {
+        best = i;
+        best_rows.swap(rows);
+        if (best_rows.size() == 1) break;  // forced move
+      }
+    }
+    assigned[best] = true;
+    for (const CRow* row : best_rows) {
+      size_t mark = env.Mark();
+      if (AssertRowIsFact(env, *row, pattern[best].fact) &&
+          go(remaining - 1)) {
+        return true;
+      }
       env.Revert(mark);
     }
+    assigned[best] = false;
     return false;
   };
-  return go(0);
+  return go(pattern.size());
 }
 
 }  // namespace

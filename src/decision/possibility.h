@@ -35,6 +35,10 @@ std::optional<bool> PossUnboundedCoddTables(const CDatabase& database,
 /// existential queries on c-databases (Thm 5.2(1)): computes the c-table
 /// image of the query, then searches row assignments for the k pattern
 /// facts with consistency in a binding environment — O(rows^k) combinations.
+/// A one-fact pattern takes the first row that fits. Longer patterns branch
+/// most-constrained-first (MRV) with forward checking: every node
+/// trial-asserts each pending fact's candidate rows, fails when some fact
+/// has none left, and branches on the fact with the fewest.
 /// Returns std::nullopt if the query is not positive existential (!= is
 /// allowed).
 std::optional<bool> PossBoundedPosExistential(

@@ -241,6 +241,46 @@ TEST(ComplexityMapTest, OtherProblemClassifications) {
             C::kCoNp);
 }
 
+// Many lhs valuations share the passing image {(7)}; a later valuation has
+// the distinct image {(f)}, f fresh, of the same size, which no rhs world
+// equals. Remembering passed images must never skip an untested image.
+TEST(ContainmentSearchTest, RepeatedPassingImageThenNewCounterexample) {
+  // lhs T = {(x, y, w)} with q0 = pi_0(T), so the image of a world is {(x)}.
+  CTable lhs_table(3);
+  lhs_table.AddRow(Tuple{V(0), V(1), V(2)});
+  CDatabase lhs{lhs_table};
+  View q0 = View::Ra({RaExpr::ProjectCols(RaExpr::Rel(0, 3), {0})});
+
+  CTable codd(1);
+  codd.AddRow(Tuple{C(7)});
+  CTable gtable(1);
+  gtable.AddRow(Tuple{V(5)});
+  gtable.SetGlobal(Conjunction{Eq(V(5), C(7))});
+  for (const CTable& rhs_table : {codd, gtable}) {
+    CDatabase rhs{rhs_table};
+    SCOPED_TRACE(rhs_table.ToString());
+    // Precondition: the world order the search walks meets the passing
+    // image several times before the first failing one.
+    WorldEnumOptions options;
+    options.extra_constants = rhs.Constants();
+    int passes_before_failure = 0;
+    bool failed = false;
+    ForEachWorld(lhs, options, [&](const Instance& world, const Valuation&) {
+      if (Membership(rhs, q0.Eval(world))) {
+        ++passes_before_failure;
+        return true;
+      }
+      failed = true;
+      return false;
+    });
+    ASSERT_TRUE(failed);
+    ASSERT_GE(passes_before_failure, 3);
+
+    EXPECT_FALSE(ContainmentSearch(q0, lhs, View::Identity(), rhs));
+    EXPECT_FALSE(Containment(q0, lhs, View::Identity(), rhs));
+  }
+}
+
 // --- Randomized cross-validation ------------------------------------------
 
 /// Oracle: for every lhs world, scan rhs worlds for an equal one.

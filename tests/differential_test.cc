@@ -72,6 +72,12 @@
 //     backtracking disjunction check) and agree with the world-search
 //     baseline ExistsWorldMissingFact.
 //
+// 10. Containment of views — for random positive existential lhs views over
+//     one or two random c-tables and random e-table or i-table rhs, the
+//     Pi-2-p containment search (which tests each distinct lhs image once)
+//     and the containment dispatcher must agree with a world-by-world
+//     oracle: every lhs world's image must equal some rhs world.
+//
 // Families 1-6 additionally run wholesale on the decision-diagram backend
 // via the PW_CONDITION_BACKEND=dd environment variable (the CI matrix's
 // tsan-dd cell does exactly that).
@@ -90,6 +96,7 @@
 #include "datalog/eval.h"
 #include "datalog/ivm.h"
 #include "decision/certainty.h"
+#include "decision/containment.h"
 #include "decision/possibility.h"
 #include "decision/view.h"
 #include "decision/world_csp.h"
@@ -1497,6 +1504,103 @@ TEST_P(StratumDifferentialTest, StratumScheduleMatchesMonolithic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StratumDifferentialTest,
                          ::testing::Range(0, 15));
+
+// --- Containment of views ---------------------------------------------------
+
+/// A random arity-2 i-table of three rows: every variable occurs once, and
+/// the global condition holds one or two inequalities over its variables
+/// and constants.
+CTable RandomITable(std::mt19937& rng) {
+  std::bernoulli_distribution is_var(0.7);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> small_const(0, 2);
+  CTable t(2);
+  VarId next = 0;
+  for (int row = 0; row < 3; ++row) {
+    Tuple tuple;
+    for (int col = 0; col < 2; ++col) {
+      tuple.push_back(is_var(rng) ? V(next++) : C(small_const(rng)));
+    }
+    t.AddRow(tuple);
+  }
+  if (next == 0) return t;
+  std::uniform_int_distribution<VarId> var(0, next - 1);
+  Conjunction global;
+  int n = 1 + coin(rng);
+  for (int i = 0; i < n; ++i) {
+    Term other = coin(rng) ? V(var(rng)) : C(small_const(rng));
+    global.Add(Neq(V(var(rng)), other));
+  }
+  t.SetGlobal(global);
+  return t;
+}
+
+/// Oracle: for every lhs world, scan the rhs worlds for one equal to its
+/// image under `lhs_view`.
+bool ViewContainmentOracle(const View& lhs_view, const CDatabase& lhs,
+                           const CDatabase& rhs) {
+  WorldEnumOptions lhs_options;
+  lhs_options.extra_constants = rhs.Constants();
+  for (ConstId c : lhs_view.Constants()) {
+    lhs_options.extra_constants.push_back(c);
+  }
+  bool contained = true;
+  ForEachWorld(lhs, lhs_options, [&](const Instance& world, const Valuation&) {
+    Instance image = lhs_view.Eval(world);
+    WorldEnumOptions rhs_options;
+    rhs_options.extra_constants = image.Constants();
+    bool found = false;
+    ForEachWorld(rhs, rhs_options,
+                 [&](const Instance& rhs_world, const Valuation&) {
+                   found = rhs_world == image;
+                   return !found;
+                 });
+    contained = found;
+    return contained;
+  });
+  return contained;
+}
+
+class ViewContainmentDifferentialTest
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(ViewContainmentDifferentialTest, SearchAgreesWithPerWorldOracle) {
+  const unsigned case_seed = 15000 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  for (int round = 0; round < 4; ++round) {
+    int num_rels = 1 + round % 2;
+    RandomCTableOptions options = testutil::SmallCTableOptions(
+        /*arity=*/2, /*num_rows=*/2, /*num_constants=*/2, /*num_variables=*/2,
+        /*num_local_atoms=*/GetParam() % 2,
+        /*num_global_atoms=*/(GetParam() / 2) % 2);
+    std::vector<CTable> lhs_tables;
+    for (int k = 0; k < num_rels; ++k) {
+      lhs_tables.push_back(RandomCTable(options, rng));
+    }
+    CDatabase lhs(std::move(lhs_tables));
+    View lhs_view = View::Ra({RandomPosExistential(rng, 2, num_rels)});
+
+    RandomCTableOptions etable = testutil::SmallCTableOptions(
+        /*arity=*/2, /*num_rows=*/3, /*num_constants=*/3, /*num_variables=*/2);
+    etable.variable_probability = 0.6;
+    CTable rhs_table =
+        round < 2 ? RandomCTable(etable, rng) : RandomITable(rng);
+    CDatabase rhs{rhs_table};
+    ASSERT_TRUE(rhs.Kind() <= TableKind::kITable) << ToString(rhs.Kind());
+
+    bool oracle = ViewContainmentOracle(lhs_view, lhs, rhs);
+    std::string label = "lhs view " + lhs_view.ra()[0].ToString() + " over\n" +
+                        FormatCDatabase(lhs) + "rhs\n" + FormatCDatabase(rhs);
+    EXPECT_EQ(ContainmentSearch(lhs_view, lhs, View::Identity(), rhs), oracle)
+        << label;
+    EXPECT_EQ(Containment(lhs_view, lhs, View::Identity(), rhs), oracle)
+        << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ViewContainmentDifferentialTest,
+                         ::testing::Range(0, 30));
 
 }  // namespace
 }  // namespace pw

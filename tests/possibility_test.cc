@@ -122,6 +122,72 @@ TEST(PossBoundedTest, UnsatisfiableGlobalNothingPossible) {
   EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1}}}), false);
 }
 
+// Malformed and degenerate patterns. A one-fact pattern takes the first row
+// that fits; longer patterns run the forward-checked branching. Each case is
+// checked on both paths, with a possible fact first in the longer pattern.
+
+TEST(PossBoundedTest, OutOfRangeRelationIsImpossible) {
+  CTable t(2);
+  t.AddRow(Tuple{C(1), V(0)});
+  CDatabase db{t};
+  RaQuery id = {RaExpr::Rel(0, 2)};
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{1, {1, 5}}}), false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 5}}, {1, {1, 5}}}),
+            false);
+  EXPECT_FALSE(Possibility(View::Identity(), db, {{0, {1, 5}}, {3, {1, 5}}}));
+}
+
+TEST(PossBoundedTest, ArityMismatchIsImpossible) {
+  CTable t(2);
+  t.AddRow(Tuple{C(1), V(0)});
+  CDatabase db{t};
+  RaQuery id = {RaExpr::Rel(0, 2)};
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 5, 6}}}), false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1}}}), false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 5}}, {0, {1, 5, 6}}}),
+            false);
+  EXPECT_EQ(
+      PossBoundedPosExistential(id, db, {{0, {1, 5}}, {0, {1, 6}}, {0, {1}}}),
+      false);
+}
+
+TEST(PossBoundedTest, EmptyPatternPossibleIffRepNonEmpty) {
+  CTable t(1);
+  t.AddRow(Tuple{V(0)}, Conjunction{Neq(V(0), C(1))});
+  t.SetGlobal(Conjunction{Neq(V(0), C(2))});
+  CDatabase db{t};
+  RaQuery id = {RaExpr::Rel(0, 1)};
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {}), true);
+  EXPECT_TRUE(Possibility(View::Identity(), db, {}));
+
+  CTable empty(1);
+  empty.AddRow(Tuple{C(1)});
+  empty.SetGlobal(Conjunction{FalseAtom()});
+  CDatabase no_worlds{empty};
+  EXPECT_EQ(PossBoundedPosExistential(id, no_worlds, {}), false);
+  EXPECT_FALSE(Possibility(View::Identity(), no_worlds, {}));
+}
+
+TEST(PossBoundedTest, FactWithNoCandidateRowIsImpossible) {
+  // Row (1, x) fits (1, c) for c != 2; row (3, y) has an unsatisfiable local,
+  // so no fact (3, c) has a candidate row.
+  CTable t(2);
+  t.AddRow(Tuple{C(1), V(0)}, Conjunction{Neq(V(0), C(2))});
+  t.AddRow(Tuple{C(3), V(1)}, Conjunction{FalseAtom()});
+  CDatabase db{t};
+  RaQuery id = {RaExpr::Rel(0, 2)};
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 5}}}), true);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {4, 5}}}), false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {3, 5}}}), false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 2}}}), false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 5}}, {0, {4, 5}}}),
+            false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 5}}, {0, {3, 5}}}),
+            false);
+  EXPECT_EQ(PossBoundedPosExistential(id, db, {{0, {1, 5}}, {0, {1, 2}}}),
+            false);
+}
+
 TEST(PossibilitySearchTest, FirstOrderViewNeedsEnumeration) {
   // q = R - {(1)} on T = {(x)}: (2) possible, (1) not.
   CTable t(1);
@@ -185,6 +251,78 @@ TEST_P(PossibilityPropertyTest, BoundedAlgorithmAgreesWithOracle) {
     EXPECT_EQ(PossBoundedPosExistential(id, db, pattern),
               PossibleOracle(View::Identity(), db, pattern))
         << t.ToString();
+  }
+}
+
+/// A fact some row of `t` can take: the tuple of a random row with each
+/// variable replaced by a random constant below `num_constants`.
+Fact InstantiateRandomRow(const CTable& t, int num_constants,
+                          std::mt19937& rng) {
+  std::uniform_int_distribution<size_t> row(0, t.num_rows() - 1);
+  std::uniform_int_distribution<int> c(0, num_constants - 1);
+  Fact fact;
+  for (const Term& term : t.row(row(rng)).tuple) {
+    fact.push_back(term.is_constant() ? term.constant() : c(rng));
+  }
+  return fact;
+}
+
+// 3-5-fact patterns over five-row tables, where the order in which facts
+// are assigned decides how much the search backtracks. Most facts
+// instantiate a row, so both verdicts occur.
+TEST_P(PossibilityPropertyTest, LongPatternsAgreeWithOracle) {
+  std::mt19937 rng(1000 + GetParam());
+  RandomCTableOptions options = testutil::SmallCTableOptions(
+      /*arity=*/2, /*num_rows=*/5, /*num_constants=*/3, /*num_variables=*/3,
+      /*num_local_atoms=*/GetParam() % 2, /*num_global_atoms=*/GetParam() % 3);
+  CTable t = RandomCTable(options, rng);
+  CDatabase db{t};
+  RaQuery id = {RaExpr::Rel(0, 2)};
+
+  std::uniform_int_distribution<int> c(0, 3);
+  std::uniform_int_distribution<int> d4(0, 3);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<LocatedFact> pattern;
+    int k = 3 + (round % 3);
+    for (int i = 0; i < k; ++i) {
+      pattern.push_back({0, d4(rng) == 0 ? Fact{c(rng), c(rng)}
+                                         : InstantiateRandomRow(t, 4, rng)});
+    }
+    EXPECT_EQ(PossBoundedPosExistential(id, db, pattern),
+              PossibleOracle(View::Identity(), db, pattern))
+        << t.ToString();
+  }
+}
+
+// Two tables drawn from one variable pool: a binding made for a fact of one
+// table constrains the rows left for facts of the other.
+TEST_P(PossibilityPropertyTest, TwoTablePatternsAgreeWithOracle) {
+  std::mt19937 rng(2000 + GetParam());
+  RandomCTableOptions options = testutil::SmallCTableOptions(
+      /*arity=*/2, /*num_rows=*/3, /*num_constants=*/3, /*num_variables=*/3,
+      /*num_local_atoms=*/GetParam() % 2, /*num_global_atoms=*/GetParam() % 2);
+  options.variable_probability = 0.6;
+  CTable t0 = RandomCTable(options, rng);
+  CTable t1 = RandomCTable(options, rng);
+  CDatabase db(std::vector<CTable>{t0, t1});
+  RaQuery id = {RaExpr::Rel(0, 2), RaExpr::Rel(1, 2)};
+
+  std::uniform_int_distribution<size_t> table(0, 1);
+  std::uniform_int_distribution<int> d6(0, 5);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<LocatedFact> pattern;
+    int k = 2 + (round % 4);
+    for (int i = 0; i < k; ++i) {
+      size_t r = table(rng);
+      Fact fact = InstantiateRandomRow(db.table(r), 4, rng);
+      if (d6(rng) == 0) fact[0] = 3;  // sometimes a fact no row takes
+      pattern.push_back({r, fact});
+    }
+    bool oracle = PossibleOracle(View::Identity(), db, pattern);
+    EXPECT_EQ(PossBoundedPosExistential(id, db, pattern), oracle)
+        << FormatCDatabase(db);
+    EXPECT_EQ(Possibility(View::Identity(), db, pattern), oracle)
+        << FormatCDatabase(db);
   }
 }
 

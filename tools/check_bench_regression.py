@@ -45,6 +45,10 @@ longer. The chain instances are pure unit propagation — watched literals
 walk them in linear time while the seed solver's re-scan loop is quadratic —
 so a collapse to parity means the watcher machinery broke. Fails as vacuous
 when the floor is set but no such family pair exists.
+
+Every benchmark that reports an `agrees_with_*` counter (the verdict of a
+decision procedure checked against an independent solver on a hardness
+reduction) must report it as 1; any other value fails the run.
 """
 
 import argparse
@@ -75,6 +79,29 @@ def load_benchmarks(paths):
                                          bench.get("time_unit", "ns"),
                                          bench.get("items_per_second"))
     return benchmarks
+
+
+def check_verdicts(paths):
+    """Every agrees_with_* counter in the JSON must be 1."""
+    failures = []
+    checked = 0
+    for path in paths:
+        with open(path) as f:
+            data = json.load(f)
+        for bench in data.get("benchmarks", []):
+            if bench.get("run_type", "iteration") != "iteration":
+                continue  # a stddev aggregate of a 1/1/1 counter is 0
+            for key, value in sorted(bench.items()):
+                if not key.startswith("agrees_with_"):
+                    continue
+                checked += 1
+                if value != 1:
+                    print(f"[FAIL] {bench['name']}: {key} = {value}")
+                    failures.append(bench["name"])
+    if checked > len(failures):
+        print(f"[ok] {checked - len(failures)} of {checked} agrees_with_* "
+              "counters are 1")
+    return failures
 
 
 def check_pairs(benchmarks, max_ratio):
@@ -213,6 +240,7 @@ def main():
 
     benchmarks = load_benchmarks(args.json_files)
     checked, failures = check_pairs(benchmarks, args.max_ratio)
+    failures += check_verdicts(args.json_files)
 
     if checked == 0:
         print("error: no fast/seed benchmark pairs found in "
