@@ -14,16 +14,20 @@
 // which is where interning (memoized And, duplicate ids) pays off most.
 // CI parses the JSON output and fails when the fast side of a regime pair
 // regresses past 2x its twin (tools/check_bench_regression.py).
-// The *_Magic / *_FullFixpoint pair measures query-directed evaluation: a
+// The *_Magic / *_FullFixpoint pairs measure query-directed evaluation: a
 // selective point query answered through the magic-set rewrite against the
-// full fixpoint restricted afterwards. The *_Incremental / *_Recompute pair
+// full fixpoint restricted afterwards, on a ground chain and on a DAG whose
+// demand runs through a null. The *_Incremental / *_Recompute pair
 // measures incremental view maintenance: an update stream folded into a
 // maintained MaterializedView against rerunning the fixpoint from scratch
 // after every update.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "datalog/eval.h"
@@ -165,6 +169,92 @@ void BM_ConditionedTC_PointQuery_FullFixpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_ConditionedTC_PointQuery_FullFixpoint)
     ->DenseRange(64, 256, 64)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Right-recursive transitive closure, edge = predicate 0, tc = 1:
+/// tc(X,Y) :- edge(X,Y).  tc(X,Y) :- edge(X,Z), tc(Z,Y).
+DatalogProgram RightRecursiveTc() {
+  DatalogProgram p({2, 2}, 1);
+  p.AddRule({{1, {V(0), V(1)}}, {{0, {V(0), V(1)}}}});
+  p.AddRule({{1, {V(0), V(1)}}, {{0, {V(0), V(2)}}, {1, {V(2), V(1)}}}});
+  return p;
+}
+
+/// A forward DAG on `n` nodes with two out-edges per node, at most 6 ahead,
+/// plus two edges routed through one shared null: i -> ?x -> i+3 at
+/// i = n/3 and 2n/3 (the shape of the end-to-end view workload).
+CDatabase NullRoutedDag(int n) {
+  CTable t(2);
+  for (int i = 0; i < n; ++i) {
+    for (int j : {i + 1 + i % 3, i + 4 + (i / 3) % 3}) {
+      if (j < n) t.AddRow(Tuple{C(i), C(j)});
+    }
+  }
+  for (int k = 1; k <= 2; ++k) {
+    t.AddRow(Tuple{C(k * n / 3), V(0)});
+    t.AddRow(Tuple{V(0), C(k * n / 3 + 3)});
+  }
+  return CDatabase{t};
+}
+
+/// Rows as (tuple, interned condition id), sorted: equal iff two answers
+/// are identical up to row order.
+std::vector<std::pair<Tuple, ConjId>> RowsWithIds(const CTable& t) {
+  std::vector<std::pair<Tuple, ConjId>> out;
+  for (const CRow& row : t.rows()) {
+    out.emplace_back(row.tuple, row.LocalId(ConditionInterner::Global()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Demand through a null: tc(0, ?) on the null-routed DAG reaches ?x, so a
+// demand fact m.tc#bf(?x) matches every keyed probe of its guard under an
+// ?x = c condition. A guarded rewrite builds the closure of every demanded
+// node and loses to the full fixpoint; the goal is right-linear, so the
+// factored rewrite (datalog/magic.h) derives only demand facts and the
+// goal's own answers. `agrees_with_full` is 1 iff both paths return
+// identical rows.
+void RunNullRoutedQuery(benchmark::State& state, bool use_magic,
+                        const char* label) {
+  CDatabase db = NullRoutedDag(static_cast<int>(state.range(0)));
+  DatalogProgram tc = RightRecursiveTc();
+  std::vector<std::optional<ConstId>> bindings{ConstId{0}, std::nullopt};
+  DatalogCTableOptions options;
+  options.use_magic = use_magic;
+  DatalogCTableOptions other;
+  other.use_magic = !use_magic;
+  const CTable reference =
+      DatalogQueryOnCTables(tc, db, /*goal=*/1, bindings, nullptr, other);
+  ConditionedFixpointStats stats;
+  CTable out;
+  for (auto _ : state) {
+    out = DatalogQueryOnCTables(tc, db, /*goal=*/1, bindings, &stats, options);
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rows"] = static_cast<double>(stats.derived_rows);
+  state.counters["magic_facts"] = static_cast<double>(stats.magic_facts);
+  state.counters["join_work"] =
+      static_cast<double>(stats.index_hits + stats.pruned_branches);
+  state.counters["agrees_with_full"] =
+      RowsWithIds(out) == RowsWithIds(reference) ? 1 : 0;
+  state.SetLabel(label);
+}
+
+void BM_ConditionedTC_NullRoutedQuery_Magic(benchmark::State& state) {
+  RunNullRoutedQuery(state, /*use_magic=*/true,
+                     "tc(0, ?) on a null-routed DAG, magic-set demand");
+}
+BENCHMARK(BM_ConditionedTC_NullRoutedQuery_Magic)
+    ->DenseRange(30, 90, 30)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ConditionedTC_NullRoutedQuery_FullFixpoint(benchmark::State& state) {
+  RunNullRoutedQuery(state, /*use_magic=*/false,
+                     "tc(0, ?) on a null-routed DAG, full fixpoint");
+}
+BENCHMARK(BM_ConditionedTC_NullRoutedQuery_FullFixpoint)
+    ->DenseRange(30, 90, 30)
     ->Unit(benchmark::kMicrosecond);
 
 // Live updates: a stream of edge insertions extending the chain, with a

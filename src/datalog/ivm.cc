@@ -23,6 +23,9 @@ MaterializedView::MaterializedView(DatalogProgram program, CDatabase base,
                                    MaterializedViewOptions options)
     : original_(std::move(program)), goal_(std::move(goal)),
       base_(std::move(base)), options_(options) {
+  // An invalid goal (asserted in debug) rewrites to the rule-free program
+  // with no goal predicate: updates still maintain the base, and Answers()
+  // stays empty.
   MagicRewriteResult rewrite = MagicRewrite(original_, *goal_);
   options_.eval.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
   evaluated_ = std::make_unique<DatalogProgram>(std::move(rewrite.program));
@@ -209,7 +212,7 @@ CDatabase MaterializedView::Materialized() const {
 }
 
 CTable MaterializedView::Answers() const {
-  if (!goal_.has_value()) return CTable(0);
+  if (goal_table_ < 0) return CTable(0);
   ConditionInterner& interner = fix_->interner();
   CTable result = RestrictTableToGoal(fix_->Export(goal_table_),
                                       goal_->bindings, global_id_, interner);

@@ -97,7 +97,10 @@ class MaterializedView {
 
   /// Demand view: maintains the magic-set rewrite of `program` for `goal`,
   /// so only demand-reachable facts are derived and kept up to date;
-  /// `Answers()` serves the goal's restricted answer table.
+  /// `Answers()` serves the goal's restricted answer table. An invalid goal
+  /// (datalog/magic.h ValidGoal) makes a view that derives nothing and
+  /// answers with an empty arity-0 table, in all build modes (asserts in
+  /// debug); updates still apply to its base.
   MaterializedView(DatalogProgram program, CDatabase base, DatalogGoal goal,
                    MaterializedViewOptions options = {});
 
@@ -128,8 +131,9 @@ class MaterializedView {
   CDatabase Materialized() const;
 
   /// Demand views: the goal's restricted answers, identical to
-  /// DatalogQueryOnCTables on the current base. A full view has no goal and
-  /// returns an empty arity-0 table, in all build modes.
+  /// DatalogQueryOnCTables on the current base. A full view (or a demand
+  /// view with an invalid goal) returns an empty arity-0 table, in all
+  /// build modes.
   CTable Answers() const;
 
   /// The maintained base database (updates applied in place).

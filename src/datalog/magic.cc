@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <map>
 #include <set>
 #include <utility>
@@ -97,6 +98,57 @@ std::vector<std::pair<int, Adornment>> DiscoverAdornedPairs(
   return pairs;
 }
 
+/// True iff the goal's predicate is right-linear under the goal's
+/// adornment, so the goal pair can be factored (see magic.h): the predicate
+/// is alone in its SCC, and every live recursive rule has exactly one
+/// recursive atom, last in the body, demanded with the goal's own adornment,
+/// whose free positions receive the head's free-position variables
+/// unchanged — each a variable used nowhere else in the rule.
+bool RightLinear(const DatalogProgram& program,
+                 const ProgramAnalysis& analysis,
+                 const std::vector<bool>& dead, const DatalogGoal& goal) {
+  const int pred = goal.predicate;
+  const Adornment adornment = goal.adornment();
+  if (static_cast<size_t>(program.arity(pred)) > kMaxAdornedPositions ||
+      analysis.SccMembers(analysis.SccOf(pred)).size() != 1) {
+    return false;
+  }
+  auto recursive = [pred](const DatalogAtom& atom) {
+    return atom.predicate == pred;
+  };
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    const DatalogRule& rule = program.rules()[r];
+    if (dead[r] || rule.head.predicate != pred) continue;
+    const auto num_recursive =
+        std::count_if(rule.body.begin(), rule.body.end(), recursive);
+    if (num_recursive == 0) continue;  // an exit rule
+    if (num_recursive > 1 || !recursive(rule.body.back())) return false;
+    const DatalogAtom& rec = rule.body.back();
+    if (rec.args.size() != rule.head.args.size()) return false;
+    std::set<VarId> bound = HeadBoundVars(rule.head, adornment);
+    for (size_t a = 0; a + 1 < rule.body.size(); ++a) {
+      for (const Term& t : rule.body[a].args) {
+        if (t.is_variable()) bound.insert(t.variable());
+      }
+    }
+    if (AtomAdornment(rec, bound) != adornment) return false;
+    for (size_t i = 0; i < rule.head.args.size(); ++i) {
+      if (adornment & (Adornment{1} << i)) continue;
+      const Term& y = rule.head.args[i];
+      if (!y.is_variable() || rec.args[i] != y) return false;
+      // Exactly two uses: head position i and recursive position i.
+      size_t uses = static_cast<size_t>(
+          std::count(rule.head.args.begin(), rule.head.args.end(), y));
+      for (const DatalogAtom& atom : rule.body) {
+        uses += static_cast<size_t>(
+            std::count(atom.args.begin(), atom.args.end(), y));
+      }
+      if (uses != 2) return false;
+    }
+  }
+  return true;
+}
+
 void AppendRuleUnlessDuplicate(std::vector<DatalogRule>& rules,
                                DatalogRule rule, size_t& counter) {
   if (std::find(rules.begin(), rules.end(), rule) != rules.end()) return;
@@ -132,23 +184,33 @@ std::string MagicRewriteResult::ToString() const {
   return out;
 }
 
+bool ValidGoal(const DatalogProgram& program, const DatalogGoal& goal) {
+  return goal.predicate >= 0 &&
+         static_cast<size_t>(goal.predicate) < program.num_predicates() &&
+         goal.bindings.size() ==
+             static_cast<size_t>(program.arity(goal.predicate));
+}
+
 MagicRewriteResult MagicRewrite(const DatalogProgram& program,
                                 const DatalogGoal& goal) {
   MagicRewriteResult out;
   const size_t num_edb = program.num_edb();
+  const bool valid = ValidGoal(program, goal);
+  assert(valid && "MagicRewrite: goal predicate or arity out of range");
 
   // An extensional goal needs no demand machinery: its answers are the
   // extensional table itself, so the "rewritten" program is the predicate
   // space with no rules (the conditioned fixpoint then just carries the
-  // extensional rows through).
-  if (!program.IsIdb(goal.predicate)) {
+  // extensional rows through). An invalid goal gets the same program and no
+  // goal predicate.
+  if (!valid || !program.IsIdb(goal.predicate)) {
     std::vector<int> arities;
     for (size_t p = 0; p < program.num_predicates(); ++p) {
       arities.push_back(program.arity(static_cast<int>(p)));
       out.names.push_back("P" + std::to_string(p));
     }
     out.program = DatalogProgram(std::move(arities), num_edb);
-    out.goal_predicate = goal.predicate;
+    out.goal_predicate = valid ? goal.predicate : -1;
     out.magic_begin = program.num_predicates();
     return out;
   }
@@ -161,6 +223,7 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
   std::map<std::pair<int, Adornment>, size_t> pair_index;
   std::vector<std::pair<int, Adornment>> pairs =
       DiscoverAdornedPairs(program, goal, dead, pair_index);
+  out.factored = RightLinear(program, analysis, dead, goal);
 
   // --- Predicate layout: extensional unchanged, then the adorned pairs,
   // then their magic counterparts.
@@ -205,6 +268,7 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
         BoundArgs(atom, a)};
   };
   for (auto [pred, adornment] : pairs) {
+    const bool factor = out.factored && pred == goal.predicate;
     for (size_t r = 0; r < program.rules().size(); ++r) {
       const DatalogRule& rule = program.rules()[r];
       if (dead[r] || rule.head.predicate != pred) continue;
@@ -212,6 +276,19 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
       DatalogRule guarded;
       guarded.head = adorned_atom(rule.head, adornment);
       guarded.body.push_back(guard);
+      // A factored goal's recursive rules (the recursive atom is last)
+      // emit only their demand rules; its exit rules answer for the goal's
+      // constants, since every demanded binding's exit answers are the
+      // goal's answers.
+      const bool demand_only = factor && !rule.body.empty() &&
+                               rule.body.back().predicate == pred;
+      if (factor) {
+        for (size_t i = 0; i < guarded.head.args.size(); ++i) {
+          if (goal.bindings[i].has_value()) {
+            guarded.head.args[i] = Term::Const(*goal.bindings[i]);
+          }
+        }
+      }
       std::set<VarId> bound = HeadBoundVars(rule.head, adornment);
       for (const DatalogAtom& atom : rule.body) {
         if (program.IsIdb(atom.predicate)) {
@@ -231,7 +308,10 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
           if (t.is_variable()) bound.insert(t.variable());
         }
       }
-      AppendRuleUnlessDuplicate(rules, std::move(guarded), out.rules_adorned);
+      if (!demand_only) {
+        AppendRuleUnlessDuplicate(rules, std::move(guarded),
+                                  out.rules_adorned);
+      }
     }
   }
 
@@ -256,6 +336,7 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
 }
 
 bool DemandStaysBound(const DatalogProgram& program, const DatalogGoal& goal) {
+  if (!ValidGoal(program, goal)) return false;
   if (!program.IsIdb(goal.predicate)) return true;
   const ProgramAnalysis analysis(program);
   std::map<std::pair<int, Adornment>, size_t> pair_index;

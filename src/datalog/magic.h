@@ -12,6 +12,25 @@
 // then derives only demand-reachable facts, yet returns exactly the original
 // fixpoint's answers for the goal.
 //
+// Right-linear goals are factored (Naughton, Ramakrishnan, Sagiv and
+// Ullman, "Efficient evaluation of right-, left-, and multi-linear rules",
+// SIGMOD 1989). When every recursive rule of the goal predicate ends in its
+// one recursive atom, demanded with the goal's own adornment, and passes
+// the head's free-position variables to that atom unchanged, the goal's
+// answers are the exit rules' answers at every demanded binding. So the
+// goal pair gets no guarded recursive rule: its recursive rules contribute
+// only their demand rules, m(Z) :- m(X), <body before the recursive atom>,
+// and each exit rule becomes an answer rule whose head carries the goal's
+// constants at the bound positions, p#bf(s, Y) :- m(X), <exit body>. On the
+// right-recursive transitive closure, tc(s, ?) then derives one demand fact
+// per reachable node and one answer per reachable target, instead of the
+// closure of every demanded node — which, with demand reaching a null, is
+// most of the full fixpoint. Every other shape (mutual recursion, the
+// recursive atom not last, two recursive atoms, a changed adornment, a free
+// variable reused in the body) keeps the guarded rewrite;
+// MagicRewriteResult::factored says which one ran. The predicate layout
+// and the answers are the same either way.
+//
 // The rewrite is a pure program-to-program transformation — it knows nothing
 // about c-tables. It composes with the conditioned fixpoint
 // (ilalgebra/datalog_ctable.h) because conditioned facts of the magic
@@ -65,6 +84,12 @@ struct DatalogGoal {
   }
 };
 
+/// True iff `goal` names a predicate of `program` and has exactly one
+/// binding per argument position — the precondition of MagicRewrite,
+/// DatalogQueryOnCTables and demand MaterializedViews, checked in every
+/// build mode.
+bool ValidGoal(const DatalogProgram& program, const DatalogGoal& goal);
+
 /// One adorned intensional predicate of the rewritten program, with its
 /// magic (demand) counterpart. The magic predicate's arity is the number of
 /// bound positions; its arguments are the bound arguments in position order.
@@ -85,11 +110,15 @@ struct AdornedPredicate {
 struct MagicRewriteResult {
   DatalogProgram program;
   int goal_predicate = 0;  // the adorned goal's id in `program` (the goal
-                           // predicate itself when the goal is extensional)
+                           // predicate itself when the goal is extensional,
+                           // -1 when it is invalid)
   size_t magic_begin = 0;  // first magic predicate id; == num_predicates()
                            // when the goal is extensional (no rewrite needed)
   std::vector<AdornedPredicate> adorned;  // discovery order; [0] is the goal
-  size_t rules_adorned = 0;  // guarded rules (source rule x head adornment)
+  bool factored = false;     // the goal pair took the right-linear
+                             // factoring (no guarded recursive rule)
+  size_t rules_adorned = 0;  // guarded rules (source rule x head adornment;
+                             // a factored goal's answer rules included)
   size_t magic_rules = 0;    // demand rules, the seed fact included
   size_t rules_pruned = 0;   // source rules dropped before adorning: dead
                              // (a body predicate underivable from the EDB)
@@ -101,12 +130,13 @@ struct MagicRewriteResult {
   std::string ToString() const;
 };
 
-/// Rewrites `program` for `goal`. The goal's bindings size must equal the
-/// goal predicate's arity. Only rules reachable from the goal's demand are
-/// kept. An extensional goal needs no demand: the result is a program with
-/// the same predicates and no rules (the goal's answers are the extensional
-/// table itself). The rewritten program always passes
-/// DatalogProgram::Validate().
+/// Rewrites `program` for `goal`. Only rules reachable from the goal's
+/// demand are kept, and a right-linear goal pair is factored (see above).
+/// An extensional goal needs no demand: the result is a program with the
+/// same predicates and no rules (the goal's answers are the extensional
+/// table itself). An invalid goal (see ValidGoal) gets that same program
+/// with goal_predicate -1 in all build modes (asserts in debug). The
+/// rewritten program always passes DatalogProgram::Validate().
 MagicRewriteResult MagicRewrite(const DatalogProgram& program,
                                 const DatalogGoal& goal);
 
@@ -117,7 +147,7 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
 /// recursive body atoms that receive no bindings), so speculative callers
 /// (the demand-path possibility procedure) check this before evaluating.
 /// Runs only the adornment discovery, not the rule emission. Extensional
-/// goals trivially qualify.
+/// goals trivially qualify; invalid goals (see ValidGoal) never do.
 bool DemandStaysBound(const DatalogProgram& program, const DatalogGoal& goal);
 
 }  // namespace pw

@@ -973,6 +973,14 @@ CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const std::vector<std::optional<ConstId>>& bindings,
                              ConditionedFixpointStats* stats,
                              const DatalogCTableOptions& options) {
+  // Unconditional (not assert-only): the goal indexes the program and the
+  // fixpoint's tables.
+  const bool valid = ValidGoal(program, {goal, bindings});
+  assert(valid && "DatalogQueryOnCTables: goal out of range");
+  if (!valid) {
+    if (stats != nullptr) *stats = {};
+    return CTable(0);
+  }
   ConditionInterner& interner = options.interner != nullptr
                                     ? *options.interner
                                     : ConditionInterner::Global();

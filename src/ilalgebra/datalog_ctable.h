@@ -288,6 +288,10 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// identical (up to row order) to the restricted full fixpoint, which
 /// `use_magic = false` computes.
 /// `stats` additionally reports the demand counters.
+///
+/// An invalid goal (datalog/magic.h ValidGoal) yields an empty arity-0 table
+/// with no global condition and zeroed `stats`, in all build modes (asserts
+/// in debug).
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,
                              const std::vector<std::optional<ConstId>>& bindings,

@@ -78,6 +78,16 @@
 //     and the containment dispatcher must agree with a world-by-world
 //     oracle: every lhs world's image must equal some rhs world.
 //
+// 11. Factored magic-set goals — hand-written right-linear shapes (several
+//     exit rules, mixed bound and free positions, constants in the
+//     recursive atom, intensional atoms before it) and near misses that must
+//     keep the guarded rewrite (a free variable reused in the prefix or
+//     repeated in the head, the recursive atom not last, two recursive
+//     atoms, mutual recursion, a changed adornment), over random
+//     null-carrying tables: the rewrite takes the pinned route, the answer
+//     is identical to the restricted full fixpoint and to the per-world
+//     oracle, and a demand view stays so under updates.
+//
 // Families 1-6 additionally run wholesale on the decision-diagram backend
 // via the PW_CONDITION_BACKEND=dd environment variable (the CI matrix's
 // tsan-dd cell does exactly that).
@@ -601,6 +611,31 @@ void ExpectMagicMatchesFull(const DatalogProgram& program, const CDatabase& db,
   EXPECT_EQ(via_magic.global(), via_full.global());
 }
 
+/// Asserts the per-world meaning of a goal answer: sigma(answers) is the
+/// goal-matching facts of the DATALOG fixpoint of sigma(db), for every
+/// satisfying valuation sigma.
+void ExpectGoalAnswersPerWorld(
+    const DatalogProgram& program, const CDatabase& db, int goal,
+    const std::vector<std::optional<ConstId>>& bindings, const CTable& answers,
+    const std::string& label) {
+  WorldEnumOptions wopts;
+  for (ConstId c = 0; c <= 3; ++c) wopts.extra_constants.push_back(c);
+  bool all_match = true;
+  ForEachSatisfyingValuation(db, wopts, [&](const Valuation& v) {
+    Instance fix = SemiNaiveEval(program, v.Apply(db));
+    Relation expected(program.arity(goal));
+    for (const Fact& f : fix.relation(static_cast<size_t>(goal))) {
+      if (MatchesBindings(f, bindings)) expected.Insert(f);
+    }
+    if (v.Apply(answers) != expected) {
+      all_match = false;
+      return false;
+    }
+    return true;
+  });
+  EXPECT_TRUE(all_match) << "goal answers diverged per-world on " << label;
+}
+
 // Random programs + random goal binding patterns: the magic-rewritten run
 // must return exactly the full fixpoint's facts restricted to the goal —
 // same tuples, interned-id-identical conditions (CanonicalRowSet renders the
@@ -641,26 +676,7 @@ TEST_P(MagicDifferentialTest, MagicEqualsRestrictedFullFixpoint) {
 
     CTable via_magic = DatalogQueryOnCTables(program, db, goal, bindings);
     ExpectMagicMatchesFull(program, db, goal, bindings, via_magic, label);
-
-    // Per-world: sigma(answers) == the goal-matching facts of the DATALOG
-    // fixpoint of sigma(db), for every satisfying valuation.
-    WorldEnumOptions wopts;
-    for (ConstId c = 0; c <= 3; ++c) wopts.extra_constants.push_back(c);
-    bool all_match = true;
-    ForEachSatisfyingValuation(db, wopts, [&](const Valuation& v) {
-      Instance world = v.Apply(db);
-      Instance fix = SemiNaiveEval(program, world);
-      Relation expected(program.arity(goal));
-      for (const Fact& f : fix.relation(static_cast<size_t>(goal))) {
-        if (MatchesBindings(f, bindings)) expected.Insert(f);
-      }
-      if (v.Apply(via_magic) != expected) {
-        all_match = false;
-        return false;
-      }
-      return true;
-    });
-    EXPECT_TRUE(all_match) << "magic answers diverged per-world on " << label;
+    ExpectGoalAnswersPerWorld(program, db, goal, bindings, via_magic, label);
   }
 }
 
@@ -1087,6 +1103,169 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IvmDifferentialTest, ::testing::Range(0, 20));
+
+// --- Factored (right-linear) magic-set goals ---------------------------------
+
+/// A hand-written goal shape over two binary extensional predicates (e = 0,
+/// f = 1): the program, the goal predicate, the positions the goal binds to
+/// random constants, and whether the magic rewrite must factor it.
+struct FactoringShape {
+  std::string name;
+  DatalogProgram program;
+  int goal = 0;
+  Adornment bound = 0;
+  bool factored = false;
+};
+
+std::vector<FactoringShape> FactoringShapes() {
+  const Term x = V(100), y = V(101), z = V(102), w = V(103);
+  std::vector<FactoringShape> shapes;
+  auto add = [&](std::string name, std::vector<int> arities,
+                 std::vector<DatalogRule> rules, int goal, Adornment bound,
+                 bool factored) {
+    DatalogProgram program(std::move(arities), /*num_edb=*/2);
+    for (DatalogRule& rule : rules) program.AddRule(std::move(rule));
+    EXPECT_EQ(program.Validate(), "") << name;
+    shapes.push_back(
+        {std::move(name), std::move(program), goal, bound, factored});
+  };
+  // Factorable: every recursive rule ends in its one recursive atom, which
+  // keeps the goal's adornment and passes the free variables through.
+  add("right-recursive tc", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {2, {z, y}}}}},
+      2, 0b01, true);
+  add("right-recursive tc, both positions bound", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {2, {z, y}}}}},
+      2, 0b11, true);
+  add("several exit rules", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{1, {y, x}}}},
+       {{2, {x, C(1)}}, {{1, {x, x}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {2, {z, y}}}}},
+      2, 0b01, true);
+  add("arity 3, bound-free-bound", {2, 2, 3},
+      {{{2, {x, y, w}}, {{0, {x, y}}, {1, {y, w}}}},
+       {{2, {x, y, w}}, {{1, {x, z}}, {2, {z, y, w}}}}},
+      2, 0b101, true);
+  add("constants in the recursive atom", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{1, {x, C(2)}}, {2, {C(2), y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {2, {z, y}}}}},
+      2, 0b01, true);
+  add("idb atoms in the prefix", {2, 2, 2, 2},
+      {// q = 2: the left-recursive closure of f (a guarded lower stratum).
+       {{2, {x, y}}, {{1, {x, y}}}},
+       {{2, {x, y}}, {{2, {x, z}}, {1, {z, y}}}},
+       // p = 3 steps through q, and exits through e or q.
+       {{3, {x, y}}, {{2, {x, y}}}},
+       {{3, {x, y}}, {{0, {x, y}}}},
+       {{3, {x, y}}, {{2, {x, z}}, {0, {z, w}}, {3, {w, y}}}}},
+      3, 0b01, true);
+  // Near misses: each breaks a factoring condition and must keep the
+  // guarded rewrite.
+  add("free variable reused in the prefix", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {1, {z, y}}, {2, {z, y}}}}},
+      2, 0b01, false);
+  add("free variable repeated in the head", {2, 2, 3},
+      {{{2, {x, y, w}}, {{0, {x, y}}, {1, {x, w}}}},
+       {{2, {x, y, y}}, {{0, {x, z}}, {2, {z, y, y}}}}},
+      2, 0b001, false);
+  add("recursive atom not last", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {2, {z, y}}, {1, {z, w}}}}},
+      2, 0b01, false);
+  add("two recursive atoms", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{2, {x, z}}, {2, {z, y}}}}},
+      2, 0b01, false);
+  add("mutual recursion", {2, 2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {3, {z, y}}}},
+       {{3, {x, y}}, {{1, {x, z}}, {2, {z, y}}}}},
+      2, 0b01, false);
+  add("changed adornment: a fresh variable at a bound position", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {2, {w, y}}}}},
+      2, 0b01, false);
+  add("changed adornment: the second position bound", {2, 2, 2},
+      {{{2, {x, y}}, {{0, {x, y}}}},
+       {{2, {x, y}}, {{0, {x, z}}, {2, {z, y}}}}},
+      2, 0b10, false);
+  return shapes;
+}
+
+class FactoredMagicDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FactoredMagicDifferentialTest, FactoredGoalsMatchFullAndWorlds) {
+  // 12 parameter seeds x every shape: random null-carrying (and, on odd
+  // seeds, conditioned) tables for e and f. The rewrite must take the
+  // route the shape pins; the goal answer must be identical to the
+  // restricted full fixpoint and represent the per-world goal answers; and
+  // a demand view driven through 3 random updates must keep answering
+  // exactly that after each one.
+  const unsigned case_seed = 16000 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  constexpr int kConstants = 3;
+  constexpr int kVariables = 2;
+  std::uniform_int_distribution<int> small_const(0, kConstants - 1);
+  std::uniform_int_distribution<int> pick_pred(0, 1);
+  for (const FactoringShape& shape : FactoringShapes()) {
+    SCOPED_TRACE(shape.name);
+    const DatalogProgram& program = shape.program;
+    RandomCTableOptions options = testutil::SmallCTableOptions(
+        /*arity=*/2, /*num_rows=*/3, kConstants, kVariables,
+        /*num_local_atoms=*/GetParam() % 2,
+        /*num_global_atoms=*/GetParam() % 2);
+    CTable e = RandomCTable(options, rng);
+    CTable f = RandomCTable(options, rng);
+    CDatabase db(std::vector<CTable>{e, f});
+    std::vector<std::optional<ConstId>> bindings;
+    for (int i = 0; i < program.arity(shape.goal); ++i) {
+      bindings.push_back(shape.bound & (Adornment{1} << i)
+                             ? std::optional<ConstId>(small_const(rng))
+                             : std::nullopt);
+    }
+    const DatalogGoal goal{shape.goal, bindings};
+    std::string label = shape.name + ": goal P" + std::to_string(shape.goal) +
+                        BindingsString(bindings) + "\n" +
+                        program.ToString() + FormatCDatabase(db);
+
+    MagicRewriteResult rewrite = MagicRewrite(program, goal);
+    EXPECT_EQ(rewrite.factored, shape.factored) << rewrite.ToString();
+    EXPECT_EQ(rewrite.program.Validate(), "") << rewrite.ToString();
+
+    CTable via_magic =
+        DatalogQueryOnCTables(program, db, shape.goal, bindings);
+    ExpectMagicMatchesFull(program, db, shape.goal, bindings, via_magic,
+                           label);
+    ExpectGoalAnswersPerWorld(program, db, shape.goal, bindings, via_magic,
+                              label);
+
+    MaterializedView view(program, db, goal);
+    for (int u = 0; u < 3; ++u) {
+      ApplyUpdateToView(view, pick_pred(rng),
+                        DrawUpdate(rng, kConstants, kVariables));
+      const std::string at = label + "\nafter update " + std::to_string(u) +
+                             " on\n" + FormatCDatabase(view.base());
+      CTable answers = view.Answers();
+      EXPECT_EQ(CanonicalRowSet(answers),
+                CanonicalRowSet(DatalogQueryOnCTables(
+                    program, view.base(), shape.goal, bindings)))
+          << "demand view diverged from query-from-scratch on " << at;
+      ExpectMagicMatchesFull(program, view.base(), shape.goal, bindings,
+                             answers, at);
+      ExpectGoalAnswersPerWorld(program, view.base(), shape.goal, bindings,
+                                answers, at);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FactoredMagicDifferentialTest,
+                         ::testing::Range(0, 12));
 
 TEST(DifferentialEdgeTest, InternedPathPrunesUnsatisfiableRows) {
   // A select contradicting a row's local condition: the row holds in no

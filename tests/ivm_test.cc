@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -265,6 +266,32 @@ TEST(IvmTest, WrongArityUpdateIsNoOp) {
   EXPECT_EQ(view.base().table(0).num_rows(), base_rows);
   EXPECT_EQ(view.Materialized().ToString(), before.ToString());
   ExpectMatchesRecompute(view);
+}
+
+TEST(IvmTest, InvalidGoalDemandViewAnswersEmpty) {
+  // A demand view whose goal names no predicate of the program, or binds
+  // the wrong number of positions, derives nothing and answers with an
+  // empty arity-0 table, while updates still apply to its base. (Debug
+  // builds assert instead, so this only runs under NDEBUG.)
+  const std::vector<DatalogGoal> goals = {
+      {2, {ConstId{0}, std::nullopt}},
+      {-1, {ConstId{0}, std::nullopt}},
+      {1, {ConstId{0}, std::nullopt, ConstId{7}}},
+      {1, {std::nullopt}}};
+  for (const DatalogGoal& goal : goals) {
+    MaterializedView view(TransitiveClosure(), Chain(3), goal);
+    EXPECT_TRUE(view.is_demand_view());
+    EXPECT_EQ(view.evaluated_program().Validate(), "");
+    EXPECT_TRUE(view.evaluated_program().rules().empty());
+    CTable answers = view.Answers();
+    EXPECT_EQ(answers.arity(), 0);
+    EXPECT_EQ(answers.num_rows(), 0u);
+    const size_t base_rows = view.base().table(0).num_rows();
+    view.Insert(0, Fact{7, 8});
+    view.Delete(0, Fact{0, 1});
+    EXPECT_EQ(view.base().table(0).num_rows(), base_rows);
+    EXPECT_EQ(view.Answers().num_rows(), 0u);
+  }
 }
 #endif
 
