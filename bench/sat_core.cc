@@ -1,15 +1,13 @@
-// SAT core: the CDCL engine against the seed recursive DPLL on the
-// reduction-shaped stress corpus (reductions/sat_encode.h).
+// SAT core: absolute CDCL times on the reduction-shaped stress corpus
+// (reductions/sat_encode.h).
 //
-// Three families, each a *_Cdcl/*_Dpll pair gated by
-// tools/check_bench_regression.py: planted 3-colorable graphs (satisfiable,
-// the shape the colorability reductions emit), pigeonhole PHP(n+1, n)
-// (unsatisfiable, needs clause learning), and the scrambled
-// implication chain (pure propagation: watched literals walk it once, the
-// seed DPLL re-scans the clause list per derived unit). The gate requires
-// CDCL within 2x of DPLL everywhere and, on the chain family — where the
-// asymptotic separation is deterministic — at least --cdcl-speedup-floor
-// times faster at the largest size.
+// Three families: planted 3-colorable graphs (satisfiable, the shape the
+// colorability reductions emit), pigeonhole PHP(n+1, n) (unsatisfiable,
+// needs clause learning), and the scrambled implication chain (pure
+// propagation: watched literals walk it once). The solver's work on each
+// family at its largest size here — conflicts, decisions, propagations and
+// watch-list visits — is gated deterministically by
+// tests/work_bounds_test.cc; this bench records the wall time.
 
 #include <benchmark/benchmark.h>
 
@@ -21,24 +19,21 @@
 namespace pw {
 namespace {
 
-SatOptions Engine(bool use_cdcl) {
-  SatOptions options;
-  options.use_cdcl = use_cdcl;
-  return options;
-}
-
 void RunSolve(benchmark::State& state, const ClausalFormula& formula,
-              bool use_cdcl, bool expected_sat, const char* label) {
-  SatOptions options = Engine(use_cdcl);
+              bool expected_sat, const char* label) {
   bool sat = !expected_sat;
+  SatStats stats;
   for (auto _ : state) {
-    SatResult result = SolveCnf(formula, options);
+    SatResult result = SolveCnf(formula);
     sat = result.sat;
+    stats = result.stats;
     benchmark::DoNotOptimize(result);
   }
   state.counters["verdict_ok"] = (sat == expected_sat) ? 1 : 0;
   state.counters["vars"] = formula.num_vars;
   state.counters["clauses"] = static_cast<double>(formula.clauses.size());
+  state.counters["conflicts"] = static_cast<double>(stats.conflicts);
+  state.counters["watch_visits"] = static_cast<double>(stats.watch_visits);
   state.SetLabel(label);
 }
 
@@ -47,57 +42,29 @@ ClausalFormula ColoringInstance(int nodes) {
   return GraphColoringToCnf(RandomThreeColorableGraph(nodes, 0.5, rng), 3);
 }
 
-void BM_Coloring_Cdcl(benchmark::State& state) {
+void BM_Coloring(benchmark::State& state) {
   int nodes = static_cast<int>(state.range(0));
-  RunSolve(state, ColoringInstance(nodes), /*use_cdcl=*/true,
-           /*expected_sat=*/true, "planted 3-coloring, SAT");
+  RunSolve(state, ColoringInstance(nodes), /*expected_sat=*/true,
+           "planted 3-coloring, SAT");
 }
-BENCHMARK(BM_Coloring_Cdcl)
+BENCHMARK(BM_Coloring)
     ->RangeMultiplier(2)
     ->Range(16, 64)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_Coloring_Dpll(benchmark::State& state) {
-  int nodes = static_cast<int>(state.range(0));
-  RunSolve(state, ColoringInstance(nodes), /*use_cdcl=*/false,
-           /*expected_sat=*/true, "planted 3-coloring, SAT (seed DPLL)");
-}
-BENCHMARK(BM_Coloring_Dpll)
-    ->RangeMultiplier(2)
-    ->Range(16, 64)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Pigeonhole_Cdcl(benchmark::State& state) {
+void BM_Pigeonhole(benchmark::State& state) {
   int holes = static_cast<int>(state.range(0));
-  RunSolve(state, PigeonholeCnf(holes), /*use_cdcl=*/true,
-           /*expected_sat=*/false, "PHP(n+1, n), UNSAT");
+  RunSolve(state, PigeonholeCnf(holes), /*expected_sat=*/false,
+           "PHP(n+1, n), UNSAT");
 }
-BENCHMARK(BM_Pigeonhole_Cdcl)->DenseRange(4, 6)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Pigeonhole)->DenseRange(4, 6)->Unit(benchmark::kMicrosecond);
 
-void BM_Pigeonhole_Dpll(benchmark::State& state) {
-  int holes = static_cast<int>(state.range(0));
-  RunSolve(state, PigeonholeCnf(holes), /*use_cdcl=*/false,
-           /*expected_sat=*/false, "PHP(n+1, n), UNSAT (seed DPLL)");
-}
-BENCHMARK(BM_Pigeonhole_Dpll)->DenseRange(4, 6)->Unit(benchmark::kMicrosecond);
-
-void BM_Chain_Cdcl(benchmark::State& state) {
+void BM_Chain(benchmark::State& state) {
   int length = static_cast<int>(state.range(0));
-  RunSolve(state, ScrambledImplicationChainCnf(length), /*use_cdcl=*/true,
+  RunSolve(state, ScrambledImplicationChainCnf(length),
            /*expected_sat=*/false, "scrambled implication chain, UNSAT");
 }
-BENCHMARK(BM_Chain_Cdcl)
-    ->RangeMultiplier(4)
-    ->Range(256, 4096)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Chain_Dpll(benchmark::State& state) {
-  int length = static_cast<int>(state.range(0));
-  RunSolve(state, ScrambledImplicationChainCnf(length), /*use_cdcl=*/false,
-           /*expected_sat=*/false,
-           "scrambled implication chain, UNSAT (seed DPLL)");
-}
-BENCHMARK(BM_Chain_Dpll)
+BENCHMARK(BM_Chain)
     ->RangeMultiplier(4)
     ->Range(256, 4096)
     ->Unit(benchmark::kMicrosecond);
@@ -107,13 +74,12 @@ BENCHMARK(BM_Chain_Dpll)
 
 int main(int argc, char** argv) {
   pw::benchutil::Header(
-      "SAT core: CDCL vs the seed DPLL",
+      "SAT core: CDCL on the reduction-shaped corpus",
       "Claim: the trail-based CDCL engine (watched literals, 1UIP learning, "
-      "backjumping, restarts) dominates the seed recursive DPLL on the "
-      "reduction-shaped corpus — planted 3-coloring, pigeonhole, and "
-      "propagation-heavy implication chains — while logging checkable "
-      "certificates. Gated: within 2x everywhere, and at least the "
-      "--cdcl-speedup-floor factor faster at the largest chain size.");
+      "backjumping, restarts) decides planted 3-coloring, pigeonhole and "
+      "propagation-heavy implication chains while logging checkable "
+      "certificates. Its work counters are gated by "
+      "tests/work_bounds_test.cc.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

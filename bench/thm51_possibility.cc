@@ -3,7 +3,7 @@
 //   (1) PTIME on Codd-tables via bipartite matching, scaling to thousands
 //       of pattern facts.
 //   (2) NP-complete on e-tables, (3) on i-tables: the 3CNF-satisfiability
-//       reductions, cross-checked against DPLL.
+//       reductions, cross-checked against the CDCL SAT core.
 
 #include <benchmark/benchmark.h>
 

@@ -6,13 +6,16 @@ namespace pw {
 
 namespace {
 
-bool Recurse(BindingEnv& env, const std::vector<AtomClause>& clauses,
-             size_t i) {
-  if (i == clauses.size()) return true;
-  for (const CondAtom& atom : clauses[i]) {
-    if (IsTriviallyFalse(atom)) continue;
+bool Search(BindingEnv& env, std::span<const std::span<const CondAtom>> clauses,
+            bool negate) {
+  if (clauses.empty()) return true;
+  for (const CondAtom& atom : clauses.front()) {
+    CondAtom choice = negate ? Negate(atom) : atom;
+    if (IsTriviallyFalse(choice)) continue;
     size_t mark = env.Mark();
-    if (env.AssertAtom(atom) && Recurse(env, clauses, i + 1)) return true;
+    if (env.AssertAtom(choice) && Search(env, clauses.subspan(1), negate)) {
+      return true;
+    }
     env.Revert(mark);
   }
   return false;
@@ -20,31 +23,29 @@ bool Recurse(BindingEnv& env, const std::vector<AtomClause>& clauses,
 
 }  // namespace
 
-bool SolveAtomCnf(BindingEnv& env, std::vector<AtomClause> clauses) {
-  // Drop clauses containing a trivially true atom; fail fast on clauses with
-  // no satisfiable atom at all.
-  std::vector<AtomClause> kept;
-  for (AtomClause& clause : clauses) {
-    bool trivially_true = std::any_of(clause.begin(), clause.end(),
-                                      [](const CondAtom& a) {
-                                        return IsTriviallyTrue(a);
-                                      });
-    if (trivially_true) continue;
-    std::erase_if(clause, [](const CondAtom& a) {
-      return IsTriviallyFalse(a);
-    });
-    if (clause.empty()) return false;
-    kept.push_back(std::move(clause));
-  }
-  // Smallest clauses first (fail-fast / unit propagation order).
-  std::stable_sort(kept.begin(), kept.end(),
-                   [](const AtomClause& a, const AtomClause& b) {
-                     return a.size() < b.size();
-                   });
+bool SolveAtomCnf(BindingEnv& env,
+                  std::span<const std::span<const CondAtom>> clauses,
+                  ClausePolarity polarity) {
   size_t mark = env.Mark();
-  bool ok = Recurse(env, kept, 0);
+  bool ok = Search(env, clauses, polarity == ClausePolarity::kSomeAtomFails);
   env.Revert(mark);
   return ok;
+}
+
+bool SolveAtomCnf(BindingEnv& env, const std::vector<AtomClause>& clauses) {
+  std::vector<std::span<const CondAtom>> kept;
+  kept.reserve(clauses.size());
+  for (const AtomClause& clause : clauses) {
+    if (std::none_of(clause.begin(), clause.end(),
+                     [](const CondAtom& a) { return IsTriviallyTrue(a); })) {
+      kept.emplace_back(clause);
+    }
+  }
+  std::stable_sort(kept.begin(), kept.end(),
+                   [](std::span<const CondAtom> a, std::span<const CondAtom> b) {
+                     return a.size() < b.size();
+                   });
+  return SolveAtomCnf(env, kept, ClausePolarity::kSomeAtomHolds);
 }
 
 }  // namespace pw

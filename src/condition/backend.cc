@@ -9,41 +9,23 @@
 #include <unordered_map>
 #include <utility>
 
+#include "condition/atom_cnf.h"
 #include "condition/binding_env.h"
 #include "condition/dd_backend.h"
 
 namespace pw {
 
-namespace {
-
-/// Backtracking step of ConjImpliesDisjunction: find one falsifiable atom
-/// per remaining disjunct, consistently with everything asserted so far.
-bool CnfSearch(BindingEnv& env, const std::vector<const Conjunction*>& negs,
-               size_t i) {
-  if (i == negs.size()) return true;
-  for (const CondAtom& atom : negs[i]->atoms()) {
-    CondAtom negated = Negate(atom);
-    if (IsTriviallyFalse(negated)) continue;
-    size_t mark = env.Mark();
-    if (env.AssertAtom(negated) && CnfSearch(env, negs, i + 1)) return true;
-    env.Revert(mark);
-  }
-  return false;
-}
-
-}  // namespace
-
 bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
                             const std::vector<ConjId>& disjuncts) {
   if (lhs == ConditionInterner::kFalseConj) return true;
-  std::vector<const Conjunction*> negs;
+  std::vector<std::span<const CondAtom>> negs;
   negs.reserve(disjuncts.size());
   for (ConjId d : disjuncts) {
     if (d == ConditionInterner::kFalseConj) continue;
     if (d == ConditionInterner::kTrueConj) return true;
     // Memoized pairwise fast path: implying any single disjunct suffices.
     if (interner.Implies(lhs, d)) return true;
-    negs.push_back(&interner.Resolve(d));
+    negs.emplace_back(interner.Resolve(d).atoms());
   }
   if (negs.empty()) return false;  // lhs satisfiable, empty disjunction
   // lhs /\ NOT d1 /\ ... /\ NOT dk is a conjunction of literals plus a CNF
@@ -53,7 +35,7 @@ bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
   // decides exactly. No such valuation means the implication holds.
   BindingEnv env;
   if (!env.Assert(interner.Resolve(lhs))) return true;
-  return !CnfSearch(env, negs, 0);
+  return !SolveAtomCnf(env, negs, ClausePolarity::kSomeAtomFails);
 }
 
 namespace {

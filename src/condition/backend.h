@@ -122,10 +122,11 @@ std::unique_ptr<ConditionBackend> MakeConditionBackend(
     ConditionBackendKind kind, ConditionInterner& interner);
 
 /// True iff `lhs` implies the disjunction of `disjuncts` over the infinite
-/// domain — exact, via a backtracking search for a valuation of lhs that
-/// falsifies one atom of every disjunct (the coNP check, exponential only in
-/// the number of disjuncts). Shared by the conjunctive backend's tautology
-/// path and usable as an independent oracle in tests.
+/// domain — exact: after the memoized pairwise checks, SolveAtomCnf
+/// (condition/atom_cnf.h) searches for a valuation of lhs that falsifies one
+/// atom of every disjunct, reading each disjunct's interned atoms in place
+/// (the coNP check, exponential only in the number of disjuncts). The
+/// conjunctive backend's implication and tautology paths run on it.
 bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
                             const std::vector<ConjId>& disjuncts);
 

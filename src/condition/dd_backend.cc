@@ -43,10 +43,6 @@ bool DDBackend::CacheLookup(const OpKey& key, CondId* out) {
 void DDBackend::CacheStore(const OpKey& key, CondId value) {
   auto& shard = ops_.ShardFor(OpKeyHash{}(key));
   auto lock = WriteLock(shard.mutex);
-  if (op_cache_capacity_ != 0 && shard.map.size() >= op_cache_capacity_) {
-    shard.map.clear();
-    op_cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
   shard.map.emplace(key, value);
 }
 

@@ -25,13 +25,11 @@
 //
 // Node and id layout: ids 0/1 are the shared true/false sentinels
 // (kTrueCond/kFalseCond, matching ConjId); id >= 2 denotes nodes_[id - 2].
-// Nodes are append-only for the backend's lifetime — the op caches may be
-// bounded (SetOpCacheCapacity) and evicted, the unique-table never.
+// Nodes and op-cache entries are append-only for the backend's lifetime.
 
 #ifndef PW_CONDITION_DD_BACKEND_H_
 #define PW_CONDITION_DD_BACKEND_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -70,18 +68,6 @@ class DDBackend final : public ConditionBackend {
 
   /// Diagram nodes allocated so far (excluding the two sentinels).
   size_t num_nodes() const { return nodes_.size(); }
-
-  /// Bounds every op-cache shard (Apply results, implication and
-  /// satisfiability verdicts) to `per_shard` entries; a shard at capacity is
-  /// dropped wholesale before the next insert, like the interner's memo
-  /// eviction. 0 (the default) means unbounded. The node unique-table is
-  /// NEVER evicted — ids stay valid for the backend's lifetime.
-  void SetOpCacheCapacity(size_t per_shard) { op_cache_capacity_ = per_shard; }
-
-  /// Number of op-cache shard drops since construction.
-  uint64_t op_cache_evictions() const {
-    return op_cache_evictions_.load(std::memory_order_relaxed);
-  }
 
  private:
   enum class Op : uint32_t { kAnd, kOr, kNot, kImplies, kSat };
@@ -184,7 +170,7 @@ class DDBackend final : public ConditionBackend {
   /// the canonical (min, max) pair — both are commutative).
   CondId Apply(Op op, CondId a, CondId b);
 
-  /// Cached op-cache read / capacity-evicting write.
+  /// Op-cache read / write.
   bool CacheLookup(const OpKey& key, CondId* out);
   void CacheStore(const OpKey& key, CondId value);
 
@@ -201,9 +187,6 @@ class DDBackend final : public ConditionBackend {
   ShardedMap<ConjId, CondId, std::hash<ConjId>> from_conj_;
 
   BindingEnv scratch_env_;  // shared mode uses a thread_local instead
-
-  size_t op_cache_capacity_ = 0;
-  std::atomic<uint64_t> op_cache_evictions_{0};
 };
 
 }  // namespace pw

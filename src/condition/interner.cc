@@ -266,7 +266,7 @@ ConjId ConditionInterner::And(ConjId a, ConjId b) {
   merged.AddAll(conjs_[b].canonical);
   ConjId out = Canonicalize(merged);
   auto lock = WriteLock(shard.mutex);
-  MemoEmplace(shard, key, out);
+  shard.map.emplace(key, out);
   return out;
 }
 
@@ -319,7 +319,7 @@ bool ConditionInterner::Implies(ConjId a, ConjId b) {
     }
   }
   auto lock = WriteLock(shard.mutex);
-  MemoEmplace(shard, key, out);
+  shard.map.emplace(key, out);
   return out;
 }
 

@@ -201,23 +201,6 @@ class ConditionInterner {
   /// The current process-wide override, or nullptr.
   static ConditionInterner* ProcessShared();
 
-  /// Bounds the And/Implies memo tables for long-lived shared interners:
-  /// each of their 16 shards holds at most `per_shard` entries, and a shard
-  /// at capacity is dropped wholesale before the next insert (no LRU
-  /// bookkeeping on the read path, so lookups stay a single shared-lock
-  /// probe). 0 (the default) means unbounded. Only the *memo* tables evict —
-  /// the atom/conjunction unique-tables never do, so interned ids stay valid
-  /// and eviction can only cost recomputation, never change a verdict.
-  /// Safe to call at any time, including on a shared instance.
-  void SetMemoCapacity(size_t per_shard) {
-    memo_capacity_.store(per_shard, std::memory_order_relaxed);
-  }
-
-  /// Number of memo-shard drops since construction (And + Implies).
-  uint64_t memo_evictions() const {
-    return memo_evictions_.load(std::memory_order_relaxed);
-  }
-
   /// Cache-effectiveness counters (for benches and tests). Frozen (no longer
   /// updated) once EnableSharing() was called.
   struct Stats {
@@ -349,21 +332,7 @@ class ConditionInterner {
   std::vector<AtomId> scratch_key_;
   BindingEnv scratch_env_;
 
-  /// Capacity-evicting memo insert shared by And and Implies; call with the
-  /// shard's unique lock held.
-  template <typename Shard, typename Key, typename Value>
-  void MemoEmplace(Shard& shard, const Key& key, const Value& value) {
-    size_t capacity = memo_capacity_.load(std::memory_order_relaxed);
-    if (capacity != 0 && shard.map.size() >= capacity) {
-      shard.map.clear();
-      memo_evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.map.emplace(key, value);
-  }
-
   std::atomic<bool> shared_{false};
-  std::atomic<size_t> memo_capacity_{0};
-  std::atomic<uint64_t> memo_evictions_{0};
 
   uint64_t stamp_ = 0;
   uint64_t generation_ = 0;

@@ -56,4 +56,12 @@ bool ContainsAll(const Instance& instance,
   return true;
 }
 
+std::vector<ConstId> PatternConstants(const std::vector<LocatedFact>& pattern) {
+  std::set<ConstId> seen;
+  for (const LocatedFact& lf : pattern) {
+    seen.insert(lf.fact.begin(), lf.fact.end());
+  }
+  return {seen.begin(), seen.end()};
+}
+
 }  // namespace pw

@@ -71,6 +71,9 @@ struct LocatedFact {
 bool ContainsAll(const Instance& instance,
                  const std::vector<LocatedFact>& facts);
 
+/// The constants occurring in `pattern`, sorted, deduplicated.
+std::vector<ConstId> PatternConstants(const std::vector<LocatedFact>& pattern);
+
 }  // namespace pw
 
 #endif  // PW_CORE_INSTANCE_H_

@@ -1,10 +1,12 @@
 #include "decision/answer_sets.h"
 
 #include <functional>
+#include <memory>
 #include <set>
 
+#include "condition/backend.h"
 #include "condition/binding_env.h"
-#include "decision/world_csp.h"
+#include "decision/certainty.h"
 #include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
 #include "tables/world_enum.h"
@@ -144,11 +146,18 @@ Instance CertainAnswers(const View& view, const CDatabase& database) {
   std::vector<ConstId> domain = Domain(view, database);
   Instance candidates = PossibleAnswers(view, database);
   if (auto image = ImageOf(view, database)) {
+    ConditionInterner& interner = ConditionInterner::Global();
+    std::unique_ptr<ConditionBackend> backend =
+        MakeConditionBackend(ConditionBackendKind::kDefault, interner);
+    ConjId global_id = image->CombinedGlobalId(interner);
     std::vector<Relation> out;
     for (size_t p = 0; p < candidates.num_relations(); ++p) {
       Relation r(candidates.relation(p).arity());
       for (const Fact& f : candidates.relation(p)) {
-        if (!ExistsWorldMissingFact(*image, p, f)) r.Insert(f);
+        if (p < image->num_tables() &&
+            CertainFactInTable(image->table(p), f, global_id, *backend)) {
+          r.Insert(f);
+        }
       }
       out.push_back(std::move(r));
     }

@@ -1,33 +1,14 @@
 #include "decision/certainty.h"
 
 #include <memory>
-#include <set>
 
 #include "datalog/certain.h"
-#include "decision/world_csp.h"
 #include "ilalgebra/ctable_eval.h"
 #include "tables/world_enum.h"
 
 namespace pw {
 
 namespace {
-
-bool HasLocalConditions(const CDatabase& database) {
-  for (size_t k = 0; k < database.num_tables(); ++k) {
-    for (const CRow& row : database.table(k).rows()) {
-      if (!row.local().IsTautology()) return true;
-    }
-  }
-  return false;
-}
-
-std::vector<ConstId> PatternConstants(const std::vector<LocatedFact>& pattern) {
-  std::set<ConstId> seen;
-  for (const LocatedFact& lf : pattern) {
-    seen.insert(lf.fact.begin(), lf.fact.end());
-  }
-  return {seen.begin(), seen.end()};
-}
 
 /// Wraps the identity over a c-database as the trivial DATALOG program
 /// copy_p(x...) :- p(x...), so the identity view rides the same PTIME path.
@@ -87,7 +68,7 @@ bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
 std::optional<bool> CertDatalogGTables(
     const View& view, const CDatabase& database,
     const std::vector<LocatedFact>& pattern) {
-  if (HasLocalConditions(database)) return std::nullopt;
+  if (database.HasLocalConditions()) return std::nullopt;
   if (!view.is_datalog() && !view.is_identity()) return std::nullopt;
   if (RepIsEmpty(database)) return true;  // vacuous
 
@@ -138,43 +119,29 @@ bool CertaintySearch(const View& view, const CDatabase& database,
 bool Certainty(const View& view, const CDatabase& database,
                const std::vector<LocatedFact>& pattern) {
   if (auto fast = CertDatalogGTables(view, database, pattern)) return *fast;
-  // c-tables with positive existential views: decide via the
-  // Imielinski–Lipski image and a per-fact certainty tautology through the
-  // configured condition backend (the per-fact "is it missing somewhere"
-  // CSP, ExistsWorldMissingFact, stays as the cross-checked baseline).
+  // The identity, and positive existential views through their
+  // Imielinski–Lipski image: a per-fact certainty tautology over the image
+  // through the configured condition backend.
+  std::optional<CDatabase> evaluated;
+  const CDatabase* image = view.is_identity() ? &database : nullptr;
   if (view.is_ra() && view.IsPositiveExistential(/*allow_neq=*/true)) {
-    if (auto image = EvalQueryOnCTables(view.ra(), database)) {
-      if (RepIsEmpty(database)) return true;  // vacuous
-      ConditionInterner& interner = ConditionInterner::Global();
-      std::unique_ptr<ConditionBackend> backend =
-          MakeConditionBackend(ConditionBackendKind::kDefault, interner);
-      ConjId global_id = image->CombinedGlobalId(interner);
-      for (const LocatedFact& lf : pattern) {
-        if (lf.relation >= image->num_tables() ||
-            !CertainFactInTable(image->table(lf.relation), lf.fact,
-                                global_id, *backend)) {
-          return false;
-        }
-      }
-      return true;
+    evaluated = EvalQueryOnCTables(view.ra(), database);
+    if (evaluated) image = &*evaluated;
+  }
+  if (image == nullptr) return CertaintySearch(view, database, pattern);
+  if (RepIsEmpty(database)) return true;  // vacuous
+  ConditionInterner& interner = ConditionInterner::Global();
+  std::unique_ptr<ConditionBackend> backend =
+      MakeConditionBackend(ConditionBackendKind::kDefault, interner);
+  ConjId global_id = image->CombinedGlobalId(interner);
+  for (const LocatedFact& lf : pattern) {
+    if (lf.relation >= image->num_tables() ||
+        !CertainFactInTable(image->table(lf.relation), lf.fact, global_id,
+                            *backend)) {
+      return false;
     }
   }
-  if (view.is_identity()) {
-    if (RepIsEmpty(database)) return true;  // vacuous
-    ConditionInterner& interner = ConditionInterner::Global();
-    std::unique_ptr<ConditionBackend> backend =
-        MakeConditionBackend(ConditionBackendKind::kDefault, interner);
-    ConjId global_id = database.CombinedGlobalId(interner);
-    for (const LocatedFact& lf : pattern) {
-      if (lf.relation >= database.num_tables() ||
-          !CertainFactInTable(database.table(lf.relation), lf.fact,
-                              global_id, *backend)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  return CertaintySearch(view, database, pattern);
+  return true;
 }
 
 bool CertaintyFactwise(const View& view, const CDatabase& database,

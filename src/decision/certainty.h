@@ -7,7 +7,9 @@
 //   - CERT(*, q) for DATALOG q on g-tables: PTIME (Thm 5.3(1), after [10,17])
 //     by evaluating the fixpoint on the matrix as if complete
 //   - CERT(1, q) for a first order q on a table: coNP-complete (Thm 5.3(2));
-//     exact valuation enumeration
+//     for the identity and positive existential views, a per-fact tautology
+//     check over the Imielinski–Lipski image (CertainFactInTable); exact
+//     valuation enumeration otherwise
 //   - CERT(*, q) is PTIME-equivalent to CERT(1, q) (Prop. 2.1(6)):
 //     CertaintyFactwise demonstrates the reduction.
 
@@ -29,9 +31,10 @@ namespace pw {
 /// row tuple = fact)  through `backend`, without enumerating worlds or
 /// expanding a DNF — the DD backend answers with one Not/And/Satisfiable
 /// pass, the conjunctive backend with the exact backtracking disjunction
-/// check. Exact for any c-table (an unsatisfiable global makes everything
-/// vacuously certain, matching rep-emptiness). The decision-procedure
-/// baseline ExistsWorldMissingFact (decision/world_csp.h) cross-checks it.
+/// check (ConjImpliesDisjunction). Exact for any c-table (an unsatisfiable
+/// global makes everything vacuously certain, matching rep-emptiness). The
+/// one fact-certainty procedure: Certainty, CertainAnswers and
+/// ExistsWorldOtherThan all decide per-fact certainty through it.
 bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
                         ConditionBackend& backend);
 
@@ -49,7 +52,9 @@ std::optional<bool> CertDatalogGTables(const View& view,
 bool CertaintySearch(const View& view, const CDatabase& database,
                      const std::vector<LocatedFact>& pattern);
 
-/// Dispatcher: PTIME special case when applicable, else search.
+/// Dispatcher: the PTIME DATALOG/g-table route when applicable; else, for
+/// the identity and positive existential views, CertainFactInTable per
+/// fact of the pattern over the view's image; else CertaintySearch.
 bool Certainty(const View& view, const CDatabase& database,
                const std::vector<LocatedFact>& pattern);
 

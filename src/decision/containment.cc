@@ -9,19 +9,6 @@ namespace pw {
 
 namespace {
 
-bool IsGTableDatabase(const CDatabase& database) {
-  return database.Kind() <= TableKind::kGTable;
-}
-
-bool IsCoddDatabase(const CDatabase& database) {
-  // CDatabase::Kind accounts for cross-table variable sharing.
-  return database.Kind() == TableKind::kCoddTable;
-}
-
-bool IsETableDatabase(const CDatabase& database) {
-  return database.Kind() <= TableKind::kETable;
-}
-
 /// Images remembered by ForallWorlds; bounds its memory when the lhs images
 /// never repeat.
 constexpr size_t kMaxPassedImages = 4096;
@@ -102,7 +89,10 @@ Instance Freeze(const CDatabase& database,
 
 std::optional<bool> ContGTablesInCoddTables(const CDatabase& lhs,
                                             const CDatabase& rhs) {
-  if (!IsGTableDatabase(lhs) || !IsCoddDatabase(rhs)) return std::nullopt;
+  if (lhs.Kind() > TableKind::kGTable ||
+      rhs.Kind() != TableKind::kCoddTable) {
+    return std::nullopt;
+  }
   if (RepIsEmpty(lhs)) return true;
   Instance k0 = Freeze(lhs, rhs.Constants());
   return MembershipCoddTables(rhs, k0);
@@ -110,7 +100,9 @@ std::optional<bool> ContGTablesInCoddTables(const CDatabase& lhs,
 
 std::optional<bool> ContGTablesInETables(const CDatabase& lhs,
                                          const CDatabase& rhs) {
-  if (!IsGTableDatabase(lhs) || !IsETableDatabase(rhs)) return std::nullopt;
+  if (lhs.Kind() > TableKind::kGTable || rhs.Kind() > TableKind::kETable) {
+    return std::nullopt;
+  }
   if (RepIsEmpty(lhs)) return true;
   Instance k0 = Freeze(lhs, rhs.Constants());
   return MembershipSearch(rhs, k0);
@@ -119,7 +111,7 @@ std::optional<bool> ContGTablesInETables(const CDatabase& lhs,
 std::optional<bool> ContViewInCoddTables(const View& lhs_view,
                                          const CDatabase& lhs,
                                          const CDatabase& rhs) {
-  if (!IsCoddDatabase(rhs)) return std::nullopt;
+  if (rhs.Kind() != TableKind::kCoddTable) return std::nullopt;
   return ForallWorlds(lhs_view, lhs, rhs.Constants(),
                       [&rhs](const Instance& image) {
                         auto member = MembershipCoddTables(rhs, image);

@@ -1,7 +1,6 @@
 #include "decision/membership.h"
 
 #include <algorithm>
-#include <set>
 
 #include "condition/binding_env.h"
 #include "condition/interner.h"
@@ -12,26 +11,6 @@
 namespace pw {
 
 namespace {
-
-/// True iff the database is a Codd-table database: no global or local
-/// conditions and every variable occurs at most once across all tuples of
-/// all tables.
-bool IsCoddDatabase(const CDatabase& database) {
-  std::set<VarId> seen;
-  for (size_t k = 0; k < database.num_tables(); ++k) {
-    const CTable& t = database.table(k);
-    if (!t.global().IsTautology()) return false;
-    for (const CRow& row : t.rows()) {
-      if (!row.local().IsTautology()) return false;
-      for (const Term& term : row.tuple) {
-        if (term.is_variable() && !seen.insert(term.variable()).second) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
 
 bool ShapesMatch(const CDatabase& database, const Instance& instance) {
   if (database.num_tables() != instance.num_relations()) return false;
@@ -204,7 +183,7 @@ bool SearchRecurse(SearchState& s, size_t remaining) {
 
 std::optional<bool> MembershipCoddTables(const CDatabase& database,
                                          const Instance& instance) {
-  if (!IsCoddDatabase(database)) return std::nullopt;
+  if (database.Kind() != TableKind::kCoddTable) return std::nullopt;
   if (!ShapesMatch(database, instance)) return false;
   for (size_t k = 0; k < database.num_tables(); ++k) {
     if (!CoddTableMembership(database.table(k), instance.relation(k))) {

@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 
 #include "condition/binding_env.h"
 #include "condition/interner.h"
@@ -16,18 +15,6 @@
 namespace pw {
 
 namespace {
-
-bool IsCoddDatabase(const CDatabase& database) {
-  return database.Kind() == TableKind::kCoddTable;
-}
-
-std::vector<ConstId> PatternConstants(const std::vector<LocatedFact>& pattern) {
-  std::set<ConstId> seen;
-  for (const LocatedFact& lf : pattern) {
-    seen.insert(lf.fact.begin(), lf.fact.end());
-  }
-  return {seen.begin(), seen.end()};
-}
 
 /// Asserts that `row` takes the value `fact` and that its local holds. On
 /// failure the caller reverts.
@@ -126,7 +113,7 @@ std::vector<LocatedFact> ToLocatedFacts(const Instance& pattern) {
 
 std::optional<bool> PossUnboundedCoddTables(const CDatabase& database,
                                             const Instance& pattern) {
-  if (!IsCoddDatabase(database)) return std::nullopt;
+  if (database.Kind() != TableKind::kCoddTable) return std::nullopt;
   if (pattern.num_relations() > database.num_tables()) return false;
   for (size_t k = 0; k < pattern.num_relations(); ++k) {
     const Relation& rel = pattern.relation(k);

@@ -12,15 +12,6 @@ namespace pw {
 
 namespace {
 
-bool HasLocalConditions(const CDatabase& database) {
-  for (size_t k = 0; k < database.num_tables(); ++k) {
-    for (const CRow& row : database.table(k).rows()) {
-      if (!row.local().IsTautology()) return true;
-    }
-  }
-  return false;
-}
-
 /// rep(table with no conditions, matrix M) == {relation}? PTIME core of
 /// Thm 3.2(1) after normalization: M must be ground and equal the relation.
 bool GroundMatrixEquals(const CTable& table, const Relation& relation) {
@@ -36,7 +27,7 @@ bool GroundMatrixEquals(const CTable& table, const Relation& relation) {
 
 std::optional<bool> UniqGTables(const CDatabase& database,
                                 const Instance& instance) {
-  if (HasLocalConditions(database)) return std::nullopt;
+  if (database.HasLocalConditions()) return std::nullopt;
   if (database.num_tables() != instance.num_relations()) return false;
 
   Conjunction global = database.CombinedGlobal();

@@ -1,27 +1,13 @@
 #include "decision/world_csp.h"
 
+#include <memory>
+
 #include "condition/atom_cnf.h"
+#include "condition/backend.h"
 #include "condition/binding_env.h"
+#include "decision/certainty.h"
 
 namespace pw {
-
-namespace {
-
-/// The clause set "row does not produce `fact`": some local atom fails or
-/// some tuple position differs.
-AtomClause RowMissesFactClause(const CRow& row, const Fact& fact) {
-  AtomClause clause;
-  Conjunction simplified = row.local().Simplified();
-  for (const CondAtom& atom : simplified.atoms()) {
-    clause.push_back(Negate(atom));
-  }
-  for (size_t p = 0; p < row.tuple.size(); ++p) {
-    clause.push_back(Neq(row.tuple[p], Term::Const(fact[p])));
-  }
-  return clause;
-}
-
-}  // namespace
 
 bool ExistsWorldOtherThan(const CDatabase& database,
                           const Instance& instance) {
@@ -54,34 +40,23 @@ bool ExistsWorldOtherThan(const CDatabase& database,
         clauses.push_back(std::move(clause));
       }
       if (impossible) continue;
-      if (SolveAtomCnf(env, std::move(clauses))) return true;
+      if (SolveAtomCnf(env, clauses)) return true;
     }
   }
 
-  // Reason (b): some instance fact is produced by no row.
+  // Reason (b): some instance fact is missing from some world.
+  ConditionInterner& interner = ConditionInterner::Global();
+  std::unique_ptr<ConditionBackend> backend =
+      MakeConditionBackend(ConditionBackendKind::kDefault, interner);
+  ConjId global_id = database.CombinedGlobalId(interner);
   for (size_t k = 0; k < database.num_tables(); ++k) {
     for (const Fact& f : instance.relation(k)) {
-      if (ExistsWorldMissingFact(database, k, f)) return true;
+      if (!CertainFactInTable(database.table(k), f, global_id, *backend)) {
+        return true;
+      }
     }
   }
   return false;
-}
-
-bool ExistsWorldMissingFact(const CDatabase& database, size_t relation_index,
-                            const Fact& fact) {
-  if (relation_index >= database.num_tables()) return true;
-  const CTable& table = database.table(relation_index);
-  if (static_cast<size_t>(table.arity()) != fact.size()) return true;
-  BindingEnv env;
-  if (!env.Assert(database.CombinedGlobal())) {
-    return false;  // rep empty: no world at all, so no world missing it
-  }
-  std::vector<AtomClause> clauses;
-  clauses.reserve(table.num_rows());
-  for (const CRow& row : table.rows()) {
-    clauses.push_back(RowMissesFactClause(row, fact));
-  }
-  return SolveAtomCnf(env, std::move(clauses));
 }
 
 }  // namespace pw

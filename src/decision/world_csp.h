@@ -3,7 +3,9 @@
 // Several decision problems reduce to "is there a satisfying valuation whose
 // world has property X", where X decomposes into disjunctions of condition
 // atoms. These run orders of magnitude faster than raw valuation
-// enumeration while keeping the right worst-case complexity.
+// enumeration while keeping the right worst-case complexity. The per-fact
+// question "is this fact missing from some world" is CertainFactInTable
+// (decision/certainty.h), which the procedures here call.
 
 #ifndef PW_DECISION_WORLD_CSP_H_
 #define PW_DECISION_WORLD_CSP_H_
@@ -14,14 +16,9 @@
 namespace pw {
 
 /// Is there a world of rep(database) different from `instance`? (A world
-/// differs iff some "on" row lands outside the instance, or some instance
-/// fact is produced by no row.)
+/// differs iff some "on" row lands outside the instance — an atom-clause
+/// search per row — or some instance fact is not certain.)
 bool ExistsWorldOtherThan(const CDatabase& database, const Instance& instance);
-
-/// Is there a world of rep(database) in which relation `relation_index`
-/// does not contain `fact`? (I.e. the fact is NOT certain.)
-bool ExistsWorldMissingFact(const CDatabase& database, size_t relation_index,
-                            const Fact& fact);
 
 }  // namespace pw
 

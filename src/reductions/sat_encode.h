@@ -40,15 +40,15 @@ ClausalFormula PigeonholeCnf(int holes);
 /// implication clauses interleaved (all even i, then all odd i) so that
 /// neither the forward sweep from x0 nor the backward sweep from
 /// NOT x_{length-1} matches the clause scan order. Unsatisfiable by unit
-/// propagation alone: linear work for watched-literal propagation, but the
-/// seed DPLL's re-scan-everything loop advances each sweep by O(1) units per
-/// pass — quadratic overall.
+/// propagation alone: linear work for watched-literal propagation, but a
+/// loop that re-scans every clause per pass advances each sweep by O(1)
+/// units per pass — quadratic overall.
 ClausalFormula ScrambledImplicationChainCnf(int length);
 
 /// A satisfiable decision ladder (x_i OR x_{i+1}) for i in [0, length - 1):
 /// no unit clause ever arises from the initial state, so a solver that
 /// recurses per decision needs a stack frame per variable — the regression
-/// shape for the seed DPLL's recursion-depth hazard.
+/// shape for recursion-depth hazards.
 ClausalFormula DecisionLadderCnf(int length);
 
 }  // namespace pw

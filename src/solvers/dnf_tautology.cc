@@ -15,12 +15,11 @@ ClausalFormula DnfComplementCnf(const ClausalFormula& dnf) {
   return cnf;
 }
 
-TautologyVerdict CheckDnfTautology(const ClausalFormula& formula,
-                                   const SatOptions& options) {
+TautologyVerdict CheckDnfTautology(const ClausalFormula& formula) {
   // The empty DNF denotes "false", which the empty complement CNF (trivially
   // satisfiable) classifies correctly: not a tautology, any assignment
   // falsifies it.
-  SatResult complement = SolveCnf(DnfComplementCnf(formula), options);
+  SatResult complement = SolveCnf(DnfComplementCnf(formula));
   TautologyVerdict verdict;
   if (complement.sat) {
     complement.model.resize(formula.num_vars);

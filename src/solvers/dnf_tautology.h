@@ -33,8 +33,7 @@ ClausalFormula DnfComplementCnf(const ClausalFormula& dnf);
 
 /// Decides whether the DNF `formula` (OR of ANDed clauses) is a tautology
 /// and attaches the checkable certificate.
-TautologyVerdict CheckDnfTautology(const ClausalFormula& formula,
-                                   const SatOptions& options = {});
+TautologyVerdict CheckDnfTautology(const ClausalFormula& formula);
 
 /// Decides whether the DNF `formula` (OR of ANDed clauses) is a tautology.
 bool IsDnfTautology(const ClausalFormula& formula);

@@ -6,35 +6,6 @@ namespace pw {
 
 namespace {
 
-/// Restricts `formula` by the assignment of universal variables [0, nx):
-/// drops satisfied clauses, removes falsified literals. Variables keep their
-/// indices (universal variables no longer occur). Used by the enumeration
-/// baseline only — the CEGAR path restricts through assumptions instead.
-std::optional<ClausalFormula> Restrict(const ClausalFormula& formula, int nx,
-                                       const std::vector<bool>& x) {
-  ClausalFormula out;
-  out.num_vars = formula.num_vars;
-  for (const Clause& c : formula.clauses) {
-    Clause kept;
-    bool sat = false;
-    for (const Literal& lit : c) {
-      if (lit.var < nx) {
-        if (x[lit.var] != lit.negated) {
-          sat = true;
-          break;
-        }
-        // falsified literal: drop
-      } else {
-        kept.push_back(lit);
-      }
-    }
-    if (sat) continue;
-    if (kept.empty()) return std::nullopt;  // clause falsified outright
-    out.clauses.push_back(std::move(kept));
-  }
-  return out;
-}
-
 /// The universal assignment as assumption literals for the full formula.
 std::vector<Literal> UniversalAssumptions(const std::vector<bool>& x) {
   std::vector<Literal> assumptions;
@@ -52,56 +23,21 @@ QbfResult Reject(std::string error) {
   return result;
 }
 
-/// Seed baseline: enumerate every universal assignment. The mask shift is
-/// defined only below 64 universals; larger instances are rejected with a
-/// structured error instead of the former undefined-behavior shift.
-QbfResult SolveByEnumeration(const ForallExistsCnf& instance,
-                             const QbfOptions& options) {
-  int nx = instance.num_forall;
-  if (nx >= 64) {
-    return Reject("enumeration baseline cannot iterate 2^" +
-                  std::to_string(nx) +
-                  " universal assignments (num_forall must be < 64); use the "
-                  "CEGAR engine (QbfOptions{.use_cegar = true})");
-  }
-  QbfResult result;
-  std::vector<bool> x(nx, false);
-  for (uint64_t mask = 0; mask < (uint64_t{1} << nx); ++mask) {
-    ++result.candidates;
-    for (int i = 0; i < nx; ++i) x[i] = ((mask >> i) & 1) != 0;
-    auto restricted = Restrict(instance.formula, nx, x);
-    if (!restricted.has_value() || !SolveCnf(*restricted, options.sat).sat) {
-      result.holds = false;
-      result.counterexample = x;
-      // Re-derive the certificate against the *full* formula so it is
-      // checkable with the universal literals as assumptions, exactly like
-      // the CEGAR path's.
-      SatResult refuted = SolveCnfUnderAssumptions(
-          instance.formula, UniversalAssumptions(x), options.sat);
-      result.certificate = refuted.Certificate();
-      return result;
-    }
-  }
-  result.holds = true;
-  return result;
-}
-
 /// CEGAR counterexample search (Janota & Marques-Silva style). An
 /// abstraction solver over the universal variables proposes candidates; the
 /// main solver checks each under assumptions. A witness y eliminates every
 /// universal assignment it repairs: a candidate must falsify, on its
 /// universal literals, some clause that y leaves unsatisfied — encoded with
 /// one fresh selector variable per such clause.
-QbfResult SolveByCegar(const ForallExistsCnf& instance,
-                       const QbfOptions& options) {
+QbfResult SolveByCegar(const ForallExistsCnf& instance) {
   int nx = instance.num_forall;
   const ClausalFormula& formula = instance.formula;
   QbfResult result;
 
-  SatSolver main_solver(options.sat);
+  SatSolver main_solver;
   main_solver.AddFormula(formula);
 
-  SatSolver abstraction(options.sat);
+  SatSolver abstraction;
   abstraction.EnsureVars(nx);
 
   std::vector<bool> x(nx, false);
@@ -164,16 +100,14 @@ QbfResult SolveByCegar(const ForallExistsCnf& instance,
 
 }  // namespace
 
-QbfResult SolveForallExistsCertified(const ForallExistsCnf& instance,
-                                     const QbfOptions& options) {
+QbfResult SolveForallExistsCertified(const ForallExistsCnf& instance) {
   if (instance.num_forall < 0 ||
       instance.num_forall > instance.formula.num_vars) {
     return Reject("malformed quantifier split: num_forall = " +
                   std::to_string(instance.num_forall) + " with " +
                   std::to_string(instance.formula.num_vars) + " variables");
   }
-  return options.use_cegar ? SolveByCegar(instance, options)
-                           : SolveByEnumeration(instance, options);
+  return SolveByCegar(instance);
 }
 
 bool SolveForallExists(const ForallExistsCnf& instance) {

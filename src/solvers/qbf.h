@@ -1,16 +1,14 @@
 // The forall-exists 3CNF problem (Stockmeyer): Pi-2-p-complete reference
 // oracle for the containment lower bounds of Theorem 4.2.
 //
-// The default engine is a CEGAR-style counterexample search over the
-// universal assignments: an incremental abstraction solver proposes
-// candidate universal assignments, the main solver checks each one under
-// assumptions, and every found witness is generalized into a refinement
-// clause that excludes all universal assignments the witness repairs. When a
-// counterexample is found it ships with a checkable UNSAT certificate
-// (solvers/proof.h) for the restricted formula. The seed 2^|X| enumeration
-// survives behind QbfOptions{.use_cegar = false} as the differential
-// baseline — now guarded against the |X| >= 64 shift overflow instead of
-// silently invoking undefined behavior.
+// Decided by a CEGAR-style counterexample search over the universal
+// assignments: an incremental abstraction solver proposes candidate
+// universal assignments, the main solver checks each one under assumptions,
+// and every found witness is generalized into a refinement clause that
+// excludes all universal assignments the witness repairs. No 2^|X|
+// enumeration is involved, so instances with any number of universals are
+// accepted. When a counterexample is found it ships with a checkable UNSAT
+// certificate (solvers/proof.h) for the restricted formula.
 
 #ifndef PW_SOLVERS_QBF_H_
 #define PW_SOLVERS_QBF_H_
@@ -25,18 +23,9 @@
 
 namespace pw {
 
-struct QbfOptions {
-  /// false enumerates all 2^|X| universal assignments (the seed baseline;
-  /// rejects instances with 64 or more universals).
-  bool use_cegar = true;
-  /// Options for the underlying SAT engine(s).
-  SatOptions sat;
-};
-
 struct QbfResult {
   /// false when the instance was rejected outright (malformed quantifier
-  /// split, or an oversized instance on the enumeration baseline); `error`
-  /// then says why and no other field is meaningful.
+  /// split); `error` then says why and no other field is meaningful.
   bool ok = true;
   std::string error;
 
@@ -45,21 +34,19 @@ struct QbfResult {
   bool holds = false;
   /// When !holds: a universal assignment with no satisfying extension.
   std::optional<std::vector<bool>> counterexample;
-  /// When !holds (CEGAR path): an UNSAT proof for the formula under the
-  /// counterexample, checkable via CheckUnsatProof with the universal
-  /// literals as assumptions.
+  /// When !holds: an UNSAT proof for the formula under the counterexample,
+  /// checkable via CheckUnsatProof with the universal literals as
+  /// assumptions.
   SatCertificate certificate;
 
   /// Search effort: candidate universal assignments tried, and refinement
-  /// clauses added (CEGAR) — candidates equals the enumerated prefix on the
-  /// brute-force baseline.
+  /// clauses added.
   int64_t candidates = 0;
   int64_t refinements = 0;
 };
 
 /// Full result with certificate and stats.
-QbfResult SolveForallExistsCertified(const ForallExistsCnf& instance,
-                                     const QbfOptions& options = {});
+QbfResult SolveForallExistsCertified(const ForallExistsCnf& instance);
 
 /// Decides: for every assignment of the universal variables, is there an
 /// assignment of the existential variables satisfying the CNF?

@@ -9,88 +9,6 @@ namespace pw {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Seed recursive DPLL, kept verbatim as the differential baseline behind
-// SatOptions{.use_cdcl = false}. Known hazards this file's CDCL core fixes:
-// Propagate re-scans every clause per pass (quadratic on long implication
-// chains) and Dpll recurses one stack frame per branched variable (stack
-// overflow on large reduction-generated instances).
-// ---------------------------------------------------------------------------
-
-enum class Value : int8_t { kUnset, kTrue, kFalse };
-
-struct SatState {
-  const ClausalFormula* formula;
-  std::vector<Value> values;
-};
-
-bool LitTrue(const Literal& lit, const std::vector<Value>& values) {
-  return values[lit.var] == (lit.negated ? Value::kFalse : Value::kTrue);
-}
-
-bool LitFalse(const Literal& lit, const std::vector<Value>& values) {
-  return values[lit.var] == (lit.negated ? Value::kTrue : Value::kFalse);
-}
-
-/// Unit propagation to fixpoint. Returns false on conflict. Appends every
-/// assignment made to `trail`.
-bool Propagate(SatState& state, std::vector<int>& trail) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Clause& clause : state.formula->clauses) {
-      int unset_count = 0;
-      const Literal* unit = nullptr;
-      bool sat = false;
-      for (const Literal& lit : clause) {
-        if (LitTrue(lit, state.values)) {
-          sat = true;
-          break;
-        }
-        if (!LitFalse(lit, state.values)) {
-          ++unset_count;
-          unit = &lit;
-        }
-      }
-      if (sat) continue;
-      if (unset_count == 0) return false;  // conflict
-      if (unset_count == 1) {
-        state.values[unit->var] = unit->negated ? Value::kFalse : Value::kTrue;
-        trail.push_back(unit->var);
-        changed = true;
-      }
-    }
-  }
-  return true;
-}
-
-bool Dpll(SatState& state) {
-  std::vector<int> trail;
-  if (!Propagate(state, trail)) {
-    for (int v : trail) state.values[v] = Value::kUnset;
-    return false;
-  }
-  int branch = -1;
-  for (size_t v = 0; v < state.values.size(); ++v) {
-    if (state.values[v] == Value::kUnset) {
-      branch = static_cast<int>(v);
-      break;
-    }
-  }
-  if (branch == -1) return true;  // all assigned, no conflict
-  for (Value val : {Value::kTrue, Value::kFalse}) {
-    state.values[branch] = val;
-    if (Dpll(state)) return true;
-    state.values[branch] = Value::kUnset;
-  }
-  for (int v : trail) state.values[v] = Value::kUnset;
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// CDCL core.
-// ---------------------------------------------------------------------------
-
 // Literals are encoded as 2 * var + (negated ? 1 : 0) so a literal and its
 // negation differ in the lowest bit.
 inline int EncodeLit(int var, bool negated) { return 2 * var + (negated ? 1 : 0); }
@@ -105,6 +23,11 @@ constexpr int8_t kFalse = 1;
 constexpr int8_t kUnassigned = 2;
 
 constexpr int kNoClause = -1;
+
+/// VSIDS variable-activity decay per conflict.
+constexpr double kVarDecay = 0.95;
+/// Base restart interval in conflicts; scaled by the Luby sequence.
+constexpr int64_t kLubyBase = 64;
 
 /// The i-th element (0-based) of the Luby restart sequence 1,1,2,1,1,2,4,...
 int64_t Luby(int64_t i) {
@@ -227,9 +150,6 @@ struct SatSolver::Impl {
     int blocker = 0;  // a literal whose truth satisfies the clause
   };
 
-  explicit Impl(SatOptions opts) : options(opts) {}
-
-  SatOptions options;
   int num_vars = 0;
   bool ok = true;  // false once an empty clause / root conflict is derived
 
@@ -306,7 +226,7 @@ struct SatSolver::Impl {
     order.Increased(var, activity);
   }
 
-  void DecayActivity() { var_inc *= 1.0 / options.var_decay; }
+  void DecayActivity() { var_inc *= 1.0 / kVarDecay; }
 
   void AddClauseAtRoot(const Clause& input) {
     originals.push_back(input);
@@ -359,6 +279,7 @@ struct SatSolver::Impl {
       size_t j = 0;
       while (i < ws.size()) {
         Watch w = ws[i++];
+        ++stats.watch_visits;
         if (LitValue(w.blocker) == kTrue) {
           ws[j++] = w;
           continue;
@@ -445,12 +366,10 @@ struct SatSolver::Impl {
   void AttachLearnt(const std::vector<int>& learnt) {
     ++stats.learned_clauses;
     stats.learned_literals += static_cast<int64_t>(learnt.size());
-    if (options.log_proof) {
-      Clause logged;
-      logged.reserve(learnt.size());
-      for (int lit : learnt) logged.push_back(DecodeLit(lit));
-      log.added.push_back(std::move(logged));
-    }
+    Clause logged;
+    logged.reserve(learnt.size());
+    for (int lit : learnt) logged.push_back(DecodeLit(lit));
+    log.added.push_back(std::move(logged));
     if (learnt.size() == 1) {
       Enqueue(learnt[0], kNoClause);
       return;
@@ -549,34 +468,31 @@ struct SatSolver::Impl {
     result.sat = false;
     result.core = std::move(core);
     result.stats = stats;
-    if (options.log_proof) {
-      result.proof.added = log.added;
-      Clause final_clause;
-      final_clause.reserve(result.core.size());
-      for (const Literal& lit : result.core) {
-        final_clause.push_back({lit.var, !lit.negated});
-      }
-      result.proof.added.push_back(std::move(final_clause));
-      if (CertificateCheckingForced()) {
-        std::string error;
-        if (!CheckUnsatProof(OriginalFormula(), assumptions, result.proof,
-                             &error)) {
-          DieSelfCheck("UNSAT proof rejected by the independent checker",
-                       error);
-        }
+    result.proof.added = log.added;
+    Clause final_clause;
+    final_clause.reserve(result.core.size());
+    for (const Literal& lit : result.core) {
+      final_clause.push_back({lit.var, !lit.negated});
+    }
+    result.proof.added.push_back(std::move(final_clause));
+    if (CertificateCheckingForced()) {
+      std::string error;
+      if (!CheckUnsatProof(OriginalFormula(), assumptions, result.proof,
+                           &error)) {
+        DieSelfCheck("UNSAT proof rejected by the independent checker", error);
       }
     }
     return result;
   }
 
-  SatResult SolveCdcl(const std::vector<Literal>& assumptions) {
+  SatResult Solve(const std::vector<Literal>& assumptions) {
     stats = {};
     for (const Literal& lit : assumptions) EnsureVars(lit.var + 1);
     CancelUntil(0);
     if (!ok) return UnsatAnswer({}, assumptions);
     int64_t restart_run = 0;
     int64_t conflicts_in_run = 0;
-    int64_t budget = Luby(restart_run) * options.luby_base;
+    int64_t budget = Luby(restart_run) * kLubyBase;
     std::vector<int> learnt;
     for (;;) {
       int confl = PropagateWatched();
@@ -595,7 +511,7 @@ struct SatSolver::Impl {
           ++stats.restarts;
           ++restart_run;
           conflicts_in_run = 0;
-          budget = Luby(restart_run) * options.luby_base;
+          budget = Luby(restart_run) * kLubyBase;
           CancelUntil(0);
         }
         continue;
@@ -624,42 +540,9 @@ struct SatSolver::Impl {
       Enqueue(next, kNoClause);
     }
   }
-
-  SatResult SolveDpllBaseline(const std::vector<Literal>& assumptions) {
-    stats = {};
-    for (const Literal& lit : assumptions) EnsureVars(lit.var + 1);
-    ClausalFormula formula = OriginalFormula();
-    SatState state;
-    state.formula = &formula;
-    state.values.assign(num_vars, Value::kUnset);
-    bool consistent = true;
-    for (const Literal& lit : assumptions) {
-      Value want = lit.negated ? Value::kFalse : Value::kTrue;
-      if (state.values[lit.var] == Value::kUnset) {
-        state.values[lit.var] = want;
-      } else if (state.values[lit.var] != want) {
-        consistent = false;
-        break;
-      }
-    }
-    SatResult result;
-    if (consistent && Dpll(state)) {
-      result.sat = true;
-      result.model.resize(num_vars);
-      for (int v = 0; v < num_vars; ++v) {
-        result.model[v] = state.values[v] == Value::kTrue;
-      }
-      VerifySatAnswer(result, assumptions);
-    } else {
-      result.sat = false;
-      result.core = assumptions;  // the baseline does not minimize cores
-    }
-    return result;
-  }
 };
 
-SatSolver::SatSolver(SatOptions options)
-    : impl_(std::make_unique<Impl>(options)) {}
+SatSolver::SatSolver() : impl_(std::make_unique<Impl>()) {}
 SatSolver::~SatSolver() = default;
 SatSolver::SatSolver(SatSolver&&) noexcept = default;
 SatSolver& SatSolver::operator=(SatSolver&&) noexcept = default;
@@ -684,20 +567,18 @@ void SatSolver::AddFormula(const ClausalFormula& formula) {
 
 SatResult SatSolver::SolveUnderAssumptions(
     const std::vector<Literal>& assumptions) {
-  return impl_->options.use_cdcl ? impl_->SolveCdcl(assumptions)
-                                 : impl_->SolveDpllBaseline(assumptions);
+  return impl_->Solve(assumptions);
 }
 
-SatResult SolveCnf(const ClausalFormula& formula, const SatOptions& options) {
-  SatSolver solver(options);
+SatResult SolveCnf(const ClausalFormula& formula) {
+  SatSolver solver;
   solver.AddFormula(formula);
   return solver.Solve();
 }
 
 SatResult SolveCnfUnderAssumptions(const ClausalFormula& formula,
-                                   const std::vector<Literal>& assumptions,
-                                   const SatOptions& options) {
-  SatSolver solver(options);
+                                   const std::vector<Literal>& assumptions) {
+  SatSolver solver;
   solver.AddFormula(formula);
   return solver.SolveUnderAssumptions(assumptions);
 }

@@ -1,13 +1,13 @@
-// CNF satisfiability. The default engine is an iterative trail-based CDCL —
-// two-watched-literal propagation, 1UIP conflict analysis with clause
-// learning, non-chronological backjumping, VSIDS-style activity decay, Luby
-// restarts, and an assumptions interface for incremental solving — that logs
-// a DRAT-style clausal proof on UNSAT so every verdict can be re-verified by
-// the independent checker in solvers/proof.h. The seed recursive DPLL
-// survives behind SatOptions{.use_cdcl = false} as the differential
-// baseline, matching the repo's every-fast-path-keeps-its-slow-baseline
-// convention. Reference oracle for the NP-hardness reductions
-// (Theorems 3.1, 5.1, 5.2).
+// CNF satisfiability by an iterative trail-based CDCL — two-watched-literal
+// propagation, 1UIP conflict analysis with clause learning,
+// non-chronological backjumping, VSIDS-style activity decay, Luby restarts,
+// and an assumptions interface for incremental solving — that logs a
+// DRAT-style clausal proof on UNSAT so every verdict can be re-verified by
+// the independent checker in solvers/proof.h. Reference oracle for the
+// NP-hardness reductions (Theorems 3.1, 5.1, 5.2). Its work on the
+// reduction-shaped corpus is gated by counter ceilings in
+// tests/work_bounds_test.cc; tests/sat_core_test.cc checks its verdicts
+// against brute-force enumeration.
 
 #ifndef PW_SOLVERS_SAT_H_
 #define PW_SOLVERS_SAT_H_
@@ -22,23 +22,12 @@
 
 namespace pw {
 
-struct SatOptions {
-  /// false routes through the seed recursive DPLL (no proofs, no learning,
-  /// recursion depth scales with the variable count) — kept as the
-  /// differential baseline.
-  bool use_cdcl = true;
-  /// Record learned clauses into a DRAT-style proof so UNSAT answers carry a
-  /// checkable certificate (solvers/proof.h). CDCL only.
-  bool log_proof = true;
-  /// VSIDS variable-activity decay per conflict.
-  double var_decay = 0.95;
-  /// Base restart interval in conflicts; scaled by the Luby sequence.
-  int luby_base = 64;
-};
-
 struct SatStats {
   int64_t decisions = 0;
   int64_t propagations = 0;
+  /// Watch-list entries unit propagation examined: one per clause visited
+  /// because a literal it watches became false.
+  int64_t watch_visits = 0;
   int64_t conflicts = 0;
   int64_t restarts = 0;
   int64_t learned_clauses = 0;
@@ -49,9 +38,9 @@ struct SatResult {
   bool sat = false;
   /// Total assignment over the solver's variables when sat.
   std::vector<bool> model;
-  /// DRAT-style derivation when !sat and proof logging is on: checkable via
-  /// CheckUnsatProof against the clauses the caller added, under the
-  /// assumptions of the failing Solve call.
+  /// DRAT-style derivation when !sat: checkable via CheckUnsatProof against
+  /// the clauses the caller added, under the assumptions of the failing
+  /// Solve call.
   DratProof proof;
   /// When !sat under assumptions: a subset of the assumptions that is
   /// already unsatisfiable with the clause set (the failed-assumption core).
@@ -69,7 +58,7 @@ struct SatResult {
 /// decision-procedure callers) pay for the shared structure once.
 class SatSolver {
  public:
-  explicit SatSolver(SatOptions options = {});
+  SatSolver();
   ~SatSolver();
   SatSolver(SatSolver&&) noexcept;
   SatSolver& operator=(SatSolver&&) noexcept;
@@ -96,12 +85,11 @@ class SatSolver {
 };
 
 /// One-shot solve of `formula`.
-SatResult SolveCnf(const ClausalFormula& formula, const SatOptions& options = {});
+SatResult SolveCnf(const ClausalFormula& formula);
 
 /// One-shot solve of `formula` under `assumptions`.
 SatResult SolveCnfUnderAssumptions(const ClausalFormula& formula,
-                                   const std::vector<Literal>& assumptions,
-                                   const SatOptions& options = {});
+                                   const std::vector<Literal>& assumptions);
 
 /// Returns a satisfying assignment of the CNF `formula`, or std::nullopt if
 /// unsatisfiable.

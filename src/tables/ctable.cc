@@ -119,15 +119,14 @@ CTable CTable::FromRelation(const Relation& relation) {
   return out;
 }
 
+bool CTable::HasLocalConditions() const {
+  return std::any_of(rows_.begin(), rows_.end(), [](const CRow& row) {
+    return !row.local().IsTautology();
+  });
+}
+
 TableKind CTable::Kind() const {
-  bool has_local = false;
-  for (const CRow& row : rows_) {
-    if (!row.local().IsTautology()) {
-      has_local = true;
-      break;
-    }
-  }
-  if (has_local) return TableKind::kCTable;
+  if (HasLocalConditions()) return TableKind::kCTable;
 
   bool has_eq = false;
   bool has_neq = false;
@@ -344,6 +343,11 @@ std::vector<int> CDatabase::Arities() const {
   out.reserve(tables_.size());
   for (const auto& t : tables_) out.push_back(t->arity());
   return out;
+}
+
+bool CDatabase::HasLocalConditions() const {
+  return std::any_of(tables_.begin(), tables_.end(),
+                     [](const auto& t) { return t->HasLocalConditions(); });
 }
 
 TableKind CDatabase::Kind() const {

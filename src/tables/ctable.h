@@ -232,6 +232,10 @@ class CTable {
   /// Least class of the hierarchy containing this table.
   TableKind Kind() const;
 
+  /// True iff some row carries a local condition (Kind() == kCTable),
+  /// decided by one pass over the rows.
+  bool HasLocalConditions() const;
+
   /// All variables occurring in tuples or conditions, sorted, deduplicated.
   std::vector<VarId> Variables() const;
 
@@ -346,6 +350,10 @@ class CDatabase {
 
   /// Worst member kind (the database is as expressive as its worst table).
   TableKind Kind() const;
+
+  /// True iff some member table has local conditions (Kind() == kCTable),
+  /// without Kind()'s variable-sharing pass.
+  bool HasLocalConditions() const;
 
   /// Builds the degenerate c-database representing exactly `instance`.
   static CDatabase FromInstance(const Instance& instance);

@@ -1,8 +1,6 @@
 // The ConditionBackend seam itself: disjunction-set normalization in the
 // conjunctive backend, node canonicity in the decision-diagram backend, and
-// the bounded-memo contracts — eviction (interner memo shards, DD op-cache
-// shards) may cost recomputation but can never change a verdict or an id,
-// and implication memos keyed on the ordered pair stay consistent across
+// implication memos keyed on the ordered pair that stay consistent across
 // RebaseInto generations.
 
 #include <gtest/gtest.h>
@@ -107,90 +105,6 @@ TEST(DDBackendTest, NodesAreCanonicalAndTheoryAware) {
   std::vector<ConjId> disjuncts;
   dd.AppendDisjuncts(ab, &disjuncts);
   EXPECT_EQ(disjuncts, std::vector<ConjId>{both});
-}
-
-TEST(ConditionBackendTest, InternerMemoEvictionNeverChangesVerdicts) {
-  // Same Intern sequence on both sides, so the pools get identical ids; the
-  // unlimited interner keeps every And/Implies memo entry, the bounded one
-  // is forced to drop shards constantly. Every verdict and every And result
-  // id must still match — eviction may only cost recomputation.
-  std::mt19937 rng(11742);
-  std::vector<Conjunction> pool;
-  for (int i = 0; i < 30; ++i) pool.push_back(RandomConjunction(rng));
-
-  ConditionInterner unlimited;
-  ConditionInterner bounded;
-  bounded.SetMemoCapacity(2);
-  std::vector<ConjId> ids_a;
-  std::vector<ConjId> ids_b;
-  for (const Conjunction& c : pool) {
-    ids_a.push_back(unlimited.Intern(c));
-    ids_b.push_back(bounded.Intern(c));
-  }
-  ASSERT_EQ(ids_a, ids_b);
-
-  for (int pass = 0; pass < 2; ++pass) {  // second pass re-misses evictees
-    for (size_t i = 0; i < ids_a.size(); ++i) {
-      for (size_t j = 0; j < ids_a.size(); ++j) {
-        ASSERT_EQ(unlimited.And(ids_a[i], ids_a[j]),
-                  bounded.And(ids_b[i], ids_b[j]))
-            << "And diverged under memo eviction on pair (" << i << ", " << j
-            << ")";
-        ASSERT_EQ(unlimited.Implies(ids_a[i], ids_a[j]),
-                  bounded.Implies(ids_b[i], ids_b[j]))
-            << "Implies diverged under memo eviction on pair (" << i << ", "
-            << j << ")";
-      }
-    }
-  }
-  EXPECT_GT(bounded.memo_evictions(), 0u);
-  EXPECT_EQ(unlimited.memo_evictions(), 0u);
-}
-
-TEST(ConditionBackendTest, DDOpCacheEvictionNeverChangesVerdicts) {
-  // Two diagram backends over one interner, driven through an identical
-  // operation sequence. Op-cache hits only short-circuit recomputation and
-  // recomputation re-finds every node in the (never-evicted) unique table,
-  // so even the returned ids must be identical under constant eviction.
-  std::mt19937 rng(22817);
-  ConditionInterner interner;
-  DDBackend unlimited(interner);
-  DDBackend bounded(interner);
-  bounded.SetOpCacheCapacity(2);
-
-  std::vector<CondId> ids_a;
-  std::vector<CondId> ids_b;
-  for (int i = 0; i < 12; ++i) {
-    ConjId leaf = interner.Intern(RandomConjunction(rng));
-    ids_a.push_back(unlimited.FromConj(leaf));
-    ids_b.push_back(bounded.FromConj(leaf));
-  }
-  std::uniform_int_distribution<int> coin(0, 1);
-  for (int step = 0; step < 40; ++step) {
-    std::uniform_int_distribution<size_t> pick(0, ids_a.size() - 1);
-    size_t i = pick(rng);
-    size_t j = pick(rng);
-    bool is_and = coin(rng) == 0;
-    CondId a = is_and ? unlimited.And(ids_a[i], ids_a[j])
-                      : unlimited.Or(ids_a[i], ids_a[j]);
-    CondId b = is_and ? bounded.And(ids_b[i], ids_b[j])
-                      : bounded.Or(ids_b[i], ids_b[j]);
-    ASSERT_EQ(a, b) << "diagram ids diverged under op-cache eviction at step "
-                    << step;
-    ids_a.push_back(a);
-    ids_b.push_back(b);
-  }
-  for (size_t i = 0; i < ids_a.size(); ++i) {
-    ASSERT_EQ(unlimited.Satisfiable(ids_a[i]), bounded.Satisfiable(ids_b[i]));
-    for (size_t j = 0; j < ids_a.size(); ++j) {
-      ASSERT_EQ(unlimited.Implies(ids_a[i], ids_a[j]),
-                bounded.Implies(ids_b[i], ids_b[j]))
-          << "Implies diverged under op-cache eviction on pair (" << i << ", "
-          << j << ")";
-    }
-  }
-  EXPECT_GT(bounded.op_cache_evictions(), 0u);
-  EXPECT_EQ(unlimited.op_cache_evictions(), 0u);
 }
 
 TEST(ConditionBackendTest, ImpliesMemoStableAcrossRebaseGenerations) {

@@ -67,10 +67,12 @@
 //     antichain backend's fixpoint, and must satisfy the per-world oracle
 //     directly.
 //
-//  9. Certainty across backends — CertainFactInTable must return the same
-//     verdict through both backends (the DD tautology check vs the exact
-//     backtracking disjunction check) and agree with the world-search
-//     baseline ExistsWorldMissingFact.
+//  9. Certainty across backends — CertainFactInTable must return, through
+//     both backends (the DD tautology check and the exact backtracking
+//     disjunction check), the verdict of the per-world oracle: the fact is
+//     in every enumerated world. ExistsWorldOtherThan, which decides its
+//     per-fact half through CertainFactInTable, must agree with the same
+//     worlds: some world differs from the instance.
 //
 // 10. Containment of views — for random positive existential lhs views over
 //     one or two random c-tables and random e-table or i-table rhs, the
@@ -1523,22 +1525,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DDFixpointDifferentialTest,
 class CertaintyBackendDifferentialTest : public ::testing::TestWithParam<int> {
 };
 
+/// The worlds of the random family-9 table, over its constants and 0..3
+/// plus fresh values: complete for facts and instances over 0..3.
+std::vector<Instance> CertaintyOracleWorlds(const CDatabase& db) {
+  WorldEnumOptions options;
+  options.extra_constants = {0, 1, 2, 3};
+  std::vector<Instance> worlds;
+  ForEachWorld(db, options, [&worlds](const Instance& world, const Valuation&) {
+    worlds.push_back(world);
+    return true;
+  });
+  return worlds;
+}
+
+/// Family 9's random table: two columns, three rows, with local and global
+/// conditions on alternate seeds.
+CTable CertaintyCaseTable(int param, std::mt19937& rng) {
+  RandomCTableOptions options = testutil::SmallCTableOptions(
+      /*arity=*/2, /*num_rows=*/3, /*num_constants=*/3, /*num_variables=*/2,
+      /*num_local_atoms=*/param % 2, /*num_global_atoms=*/param % 2);
+  return RandomCTable(options, rng);
+}
+
 TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
   // CertainFactInTable decides `global -> OR over matching rows` — through
   // the DD backend as one Not/And/Satisfiable pass, through the conjunctive
   // backend as the exact backtracking disjunction check. Both must agree
-  // with each other and with the independent clause-CSP world search on
-  // every candidate fact (present, conditioned, and absent ones alike).
+  // with the per-world oracle on every candidate fact (present,
+  // conditioned, and absent ones alike).
   const unsigned case_seed = 13000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
   for (int round = 0; round < 3; ++round) {
-    RandomCTableOptions options = testutil::SmallCTableOptions(
-        /*arity=*/2, /*num_rows=*/3, /*num_constants=*/3, /*num_variables=*/2,
-        /*num_local_atoms=*/GetParam() % 2,
-        /*num_global_atoms=*/GetParam() % 2);
-    CTable t = RandomCTable(options, rng);
-    CDatabase db{t};
+    CTable t = CertaintyCaseTable(GetParam(), rng);
+    std::vector<Instance> worlds = CertaintyOracleWorlds(CDatabase{t});
 
     ConditionInterner interner;
     std::unique_ptr<ConditionBackend> anti =
@@ -1550,18 +1570,62 @@ TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
     for (ConstId a = 0; a <= 3; ++a) {
       for (ConstId b = 0; b <= 3; ++b) {
         Fact fact{a, b};
-        bool via_anti = CertainFactInTable(t, fact, global, *anti);
-        bool via_dd = CertainFactInTable(t, fact, global, *dd);
-        EXPECT_EQ(via_anti, via_dd)
-            << "backends disagree on certainty of (" << a << ", " << b
-            << ") in\n"
+        bool in_every_world =
+            std::all_of(worlds.begin(), worlds.end(), [&](const Instance& w) {
+              return w.relation(0).Contains(fact);
+            });
+        EXPECT_EQ(CertainFactInTable(t, fact, global, *anti), in_every_world)
+            << "antichain certainty diverged from the per-world oracle on ("
+            << a << ", " << b << ") in\n"
             << FormatCTable(t);
-        bool via_search = !ExistsWorldMissingFact(db, 0, fact);
-        EXPECT_EQ(via_dd, via_search)
-            << "backend certainty diverged from the world search on (" << a
+        EXPECT_EQ(CertainFactInTable(t, fact, global, *dd), in_every_world)
+            << "dd certainty diverged from the per-world oracle on (" << a
             << ", " << b << ") in\n"
             << FormatCTable(t);
       }
+    }
+  }
+}
+
+TEST_P(CertaintyBackendDifferentialTest, OtherWorldAgreesWithPerWorldOracle) {
+  // ExistsWorldOtherThan(db, I) holds iff some world of rep(db) is not I.
+  // Candidates: every enumerated world over 0..3 (the decisive cases: a
+  // world that is the only one, or one of several), each with one fact
+  // added and one removed, and the empty instance.
+  const unsigned case_seed = 13100 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  for (int round = 0; round < 3; ++round) {
+    CTable t = CertaintyCaseTable(GetParam(), rng);
+    CDatabase db{t};
+    std::vector<Instance> worlds = CertaintyOracleWorlds(db);
+
+    std::vector<Instance> candidates{Instance({Relation(2)})};
+    for (const Instance& w : worlds) {
+      std::vector<ConstId> constants = w.Constants();
+      if (std::any_of(constants.begin(), constants.end(),
+                      [](ConstId c) { return c > 3; })) {
+        continue;  // mentions a fresh value: never equal to a candidate
+      }
+      candidates.push_back(w);
+      Relation grown = w.relation(0);
+      grown.Insert(Fact{3, 3});
+      candidates.push_back(Instance({grown}));
+      std::vector<Fact> facts = w.relation(0).ToVector();
+      if (!facts.empty()) {
+        Relation shrunk(2);
+        for (size_t i = 1; i < facts.size(); ++i) shrunk.Insert(facts[i]);
+        candidates.push_back(Instance({shrunk}));
+      }
+    }
+    for (const Instance& candidate : candidates) {
+      bool other_exists =
+          std::any_of(worlds.begin(), worlds.end(),
+                      [&](const Instance& w) { return w != candidate; });
+      EXPECT_EQ(ExistsWorldOtherThan(db, candidate), other_exists)
+          << "ExistsWorldOtherThan diverged from the per-world oracle on "
+          << candidate.ToString() << " in\n"
+          << FormatCTable(t);
     }
   }
 }

@@ -1,8 +1,9 @@
-// The CDCL solver core: unit tests, the regression shapes for the seed
-// solver's latent bugs (recursion-depth hazard, the num_forall >= 64 shift),
-// the assumptions interface, certificate round-trips through the independent
-// checker, and randomized differentials CDCL vs. seed DPLL vs. brute-force
-// enumeration. Every randomized case replays via PW_DIFF_SEED, e.g.
+// The CDCL solver core: unit tests, deep instances that a recursive solver
+// would overflow the stack on, the assumptions interface, certificate
+// round-trips through the independent checker, and randomized differentials
+// of CDCL and the CEGAR QBF engine against brute-force enumeration that
+// shares no code with either. Every randomized case replays via
+// PW_DIFF_SEED, e.g.
 //
 //   PW_DIFF_SEED=9102 ctest -R SatDifferential --output-on-failure
 
@@ -65,16 +66,37 @@ std::vector<Literal> UniversalAssumptions(const std::vector<bool>& x) {
   return assumptions;
 }
 
-/// Solves with both engines, cross-checks them, verifies the CDCL
-/// certificate with the independent checker, and returns the shared verdict.
-bool SolveCheckedBothEngines(const ClausalFormula& formula) {
-  SatResult cdcl = SolveCnf(formula);
-  SatResult dpll = SolveCnf(formula, SatOptions{.use_cdcl = false});
-  EXPECT_EQ(cdcl.sat, dpll.sat) << formula.ToString(/*as_cnf=*/true);
-  if (cdcl.sat) {
-    EXPECT_TRUE(formula.EvalCnf(cdcl.model));
-    EXPECT_TRUE(formula.EvalCnf(dpll.model));
+/// Ground truth for a forall-exists instance: restricts the formula by each
+/// of the 2^|X| universal assignments and decides the restriction with
+/// BruteForceSat (num_vars <= 20).
+bool BruteForceForallExists(const ForallExistsCnf& instance) {
+  const int nx = instance.num_forall;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << nx); ++mask) {
+    ClausalFormula restricted;
+    restricted.num_vars = instance.formula.num_vars;
+    for (const Clause& clause : instance.formula.clauses) {
+      Clause kept;
+      bool satisfied = false;
+      for (const Literal& lit : clause) {
+        if (lit.var >= nx) {
+          kept.push_back(lit);
+        } else if ((((mask >> lit.var) & 1) != 0) != lit.negated) {
+          satisfied = true;
+          break;
+        }
+      }
+      if (!satisfied) restricted.clauses.push_back(std::move(kept));
+    }
+    if (!BruteForceSat(restricted)) return false;
   }
+  return true;
+}
+
+/// Solves with CDCL, checks a SAT model against the formula and the
+/// certificate with the independent checker, and returns the verdict.
+bool SolveChecked(const ClausalFormula& formula) {
+  SatResult cdcl = SolveCnf(formula);
+  if (cdcl.sat) EXPECT_TRUE(formula.EvalCnf(cdcl.model));
   std::string error;
   EXPECT_TRUE(VerifyCertificate(formula, {}, cdcl.Certificate(), &error))
       << error;
@@ -123,8 +145,9 @@ TEST(CdclTest, ContradictoryUnitsAreUnsatWithCheckableProof) {
   EXPECT_TRUE(CheckUnsatProof(f, {}, result.proof, &error)) << error;
 }
 
-TEST(CdclTest, PaperFig5CnfAgreesWithSeedSolver) {
-  EXPECT_TRUE(SolveCheckedBothEngines(PaperFig5Cnf()));
+TEST(CdclTest, PaperFig5CnfAgreesWithBruteForce) {
+  EXPECT_TRUE(BruteForceSat(PaperFig5Cnf()));
+  EXPECT_TRUE(SolveChecked(PaperFig5Cnf()));
 }
 
 TEST(CdclTest, ConflictDrivenInstanceNeedsLearning) {
@@ -147,26 +170,18 @@ TEST(CdclTest, LegacySolveSatApiStillWorks) {
   EXPECT_FALSE(IsSatisfiable(PigeonholeCnf(2)));
 }
 
-TEST(CdclTest, ProofLoggingCanBeDisabled) {
-  SatOptions options;
-  options.log_proof = false;
-  SatResult result = SolveCnf(PigeonholeCnf(3), options);
-  EXPECT_FALSE(result.sat);
-  EXPECT_TRUE(result.proof.empty());
-}
-
-// --- Regression: recursion-depth hazard in the seed DPLL --------------------
+// --- Deep instances: recursion depth and propagation length -----------------
 
 TEST(DeepInstanceTest, DecisionLadderOnBothEngines) {
-  // Small enough for the recursive baseline's stack, large enough to verify
-  // both engines walk the same satisfiable ladder.
+  // A satisfiable ladder of 2000 decisions: the model must satisfy every
+  // clause and the certificate must pass the independent checker.
   ClausalFormula f = DecisionLadderCnf(2000);
-  EXPECT_TRUE(SolveCheckedBothEngines(f));
+  EXPECT_TRUE(SolveChecked(f));
 }
 
 TEST(DeepInstanceTest, HugeDecisionLadderIsIterative) {
-  // 300k variables with no unit clause anywhere: the seed DPLL recursed once
-  // per decision and overflowed the stack at this depth. The trail-based
+  // 300k variables with no unit clause anywhere: a solver that recursed once
+  // per decision would overflow the stack at this depth. The trail-based
   // loop must handle it outright.
   ClausalFormula f = DecisionLadderCnf(300'000);
   SatResult result = SolveCnf(f);
@@ -176,7 +191,7 @@ TEST(DeepInstanceTest, HugeDecisionLadderIsIterative) {
 
 TEST(DeepInstanceTest, ScrambledImplicationChainOnBothEngines) {
   ClausalFormula f = ScrambledImplicationChainCnf(2000);
-  EXPECT_FALSE(SolveCheckedBothEngines(f));
+  EXPECT_FALSE(SolveChecked(f));
 }
 
 TEST(DeepInstanceTest, HugeScrambledChainUnsatWithCheckableProof) {
@@ -393,21 +408,7 @@ TEST(DnfCertificateTest, EmptyDnfIsNotATautology) {
   EXPECT_FALSE(dnf.EvalDnf(*verdict.counterexample));
 }
 
-// --- Regression: the num_forall >= 64 shift in the enumeration baseline -----
-
-TEST(QbfGuardTest, EnumerationRejectsSixtyFourUniversals) {
-  // Pre-fix this executed `1 << 64` (undefined behavior); now it must come
-  // back as a structured rejection naming the limit.
-  ForallExistsCnf instance;
-  instance.num_forall = 64;
-  instance.formula.num_vars = 64;
-  QbfOptions options;
-  options.use_cegar = false;
-  QbfResult result = SolveForallExistsCertified(instance, options);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("num_forall must be < 64"), std::string::npos)
-      << result.error;
-}
+// --- QBF: input validation ---------------------------------------------------
 
 TEST(QbfGuardTest, MalformedQuantifierSplitIsRejected) {
   ForallExistsCnf instance;
@@ -422,8 +423,8 @@ TEST(QbfGuardTest, MalformedQuantifierSplitIsRejected) {
 
 TEST(QbfCegarTest, FindsCounterexampleBeyondEnumerationLimit) {
   // 70 universals, one existential y (var 70), clauses (-x0 v y) and
-  // (-x0 v -y): exactly the universal assignments with x0 = 1 fail. The
-  // enumeration baseline rejects this size outright; CEGAR needs two
+  // (-x0 v -y): exactly the universal assignments with x0 = 1 fail. 2^70
+  // universal assignments are beyond any enumeration; CEGAR needs two
   // candidates and one refinement.
   ForallExistsCnf instance;
   instance.num_forall = 70;
@@ -461,11 +462,7 @@ TEST(QbfCegarTest, PaperFig5ForallExistsMatchesLegacyApi) {
   ForallExistsCnf instance = PaperFig5ForallExists();
   QbfResult cegar = SolveForallExistsCertified(instance);
   ASSERT_TRUE(cegar.ok);
-  QbfOptions brute;
-  brute.use_cegar = false;
-  QbfResult enumerated = SolveForallExistsCertified(instance, brute);
-  ASSERT_TRUE(enumerated.ok);
-  EXPECT_EQ(cegar.holds, enumerated.holds);
+  EXPECT_EQ(cegar.holds, BruteForceForallExists(instance));
   EXPECT_EQ(cegar.holds, SolveForallExists(instance));
 }
 
@@ -532,8 +529,8 @@ TEST(SatEncodeTest, PigeonholeFamilyIsUnsatWithCheckableProofs) {
 }
 
 TEST(SatEncodeTest, ChainShapesHaveExpectedVerdicts) {
-  EXPECT_FALSE(SolveCheckedBothEngines(ScrambledImplicationChainCnf(50)));
-  EXPECT_TRUE(SolveCheckedBothEngines(DecisionLadderCnf(50)));
+  EXPECT_FALSE(SolveChecked(ScrambledImplicationChainCnf(50)));
+  EXPECT_TRUE(SolveChecked(DecisionLadderCnf(50)));
 }
 
 // --- Randomized differentials -----------------------------------------------
@@ -553,14 +550,9 @@ TEST_P(SatDifferentialTest, CdclVsDpllVsBruteForce) {
   ClausalFormula f = RandomClausalFormula(num_vars, num_clauses, width, rng);
 
   SatResult cdcl = SolveCnf(f);
-  SatResult dpll = SolveCnf(f, SatOptions{.use_cdcl = false});
   bool truth = BruteForceSat(f);
   EXPECT_EQ(cdcl.sat, truth) << f.ToString(/*as_cnf=*/true);
-  EXPECT_EQ(dpll.sat, truth) << f.ToString(/*as_cnf=*/true);
-  if (truth) {
-    EXPECT_TRUE(f.EvalCnf(cdcl.model));
-    EXPECT_TRUE(f.EvalCnf(dpll.model));
-  }
+  if (truth) EXPECT_TRUE(f.EvalCnf(cdcl.model));
   std::string error;
   EXPECT_TRUE(VerifyCertificate(f, {}, cdcl.Certificate(), &error))
       << error << "\n"
@@ -607,11 +599,8 @@ TEST_P(SatDifferentialTest, CegarVsEnumerationOnRandomQbf) {
 
   QbfResult cegar = SolveForallExistsCertified(instance);
   ASSERT_TRUE(cegar.ok) << cegar.error;
-  QbfOptions brute;
-  brute.use_cegar = false;
-  QbfResult enumerated = SolveForallExistsCertified(instance, brute);
-  ASSERT_TRUE(enumerated.ok) << enumerated.error;
-  EXPECT_EQ(cegar.holds, enumerated.holds);
+  EXPECT_EQ(cegar.holds, BruteForceForallExists(instance))
+      << instance.formula.ToString(/*as_cnf=*/true);
   if (!cegar.holds) {
     ASSERT_TRUE(cegar.counterexample.has_value());
     std::string error;

@@ -1,13 +1,27 @@
-// Tests for the View abstraction and the world-CSP helpers.
+// Tests for the View abstraction, the world-CSP helpers and per-fact
+// certainty.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "condition/backend.h"
+#include "condition/interner.h"
+#include "decision/certainty.h"
 #include "decision/view.h"
 #include "decision/world_csp.h"
 #include "tables/ctable.h"
 
 namespace pw {
 namespace {
+
+/// Is `fact` missing from some world of the one-table database `t`?
+bool MissingSomewhere(const CTable& t, const Fact& fact) {
+  ConditionInterner interner;
+  std::unique_ptr<ConditionBackend> backend =
+      MakeConditionBackend(ConditionBackendKind::kDefault, interner);
+  return !CertainFactInTable(t, fact, t.GlobalId(interner), *backend);
+}
 
 TEST(ViewTest, IdentityEval) {
   Instance i({Relation(1, {{1}})});
@@ -98,21 +112,20 @@ TEST(WorldCspTest, MissingFactBasics) {
   CTable t(1);
   t.AddRow(Tuple{C(1)});
   t.AddRow(Tuple{V(0)}, Conjunction{Neq(V(0), C(2))});
-  CDatabase db{t};
   // (1) is produced by the ground row in every world.
-  EXPECT_FALSE(ExistsWorldMissingFact(db, 0, Fact{1}));
+  EXPECT_FALSE(MissingSomewhere(t, Fact{1}));
   // (3) is missed whenever x != 3.
-  EXPECT_TRUE(ExistsWorldMissingFact(db, 0, Fact{3}));
+  EXPECT_TRUE(MissingSomewhere(t, Fact{3}));
   // (2): the conditioned row can never produce it (x != 2), and the ground
   // row is 1 — always missing.
-  EXPECT_TRUE(ExistsWorldMissingFact(db, 0, Fact{2}));
+  EXPECT_TRUE(MissingSomewhere(t, Fact{2}));
 }
 
 TEST(WorldCspTest, MissingFactEmptyRep) {
   CTable t(1);
   t.AddRow(Tuple{C(1)});
   t.SetGlobal(Conjunction{FalseAtom()});
-  EXPECT_FALSE(ExistsWorldMissingFact(CDatabase{t}, 0, Fact{2}));
+  EXPECT_FALSE(MissingSomewhere(t, Fact{2}));
 }
 
 TEST(WorldCspTest, MissingFactForcedCoverThroughGlobal) {
@@ -120,9 +133,8 @@ TEST(WorldCspTest, MissingFactForcedCoverThroughGlobal) {
   CTable t(1);
   t.AddRow(Tuple{V(0)});
   t.SetGlobal(Conjunction{Eq(V(0), C(4))});
-  CDatabase db{t};
-  EXPECT_FALSE(ExistsWorldMissingFact(db, 0, Fact{4}));
-  EXPECT_TRUE(ExistsWorldMissingFact(db, 0, Fact{5}));
+  EXPECT_FALSE(MissingSomewhere(t, Fact{4}));
+  EXPECT_TRUE(MissingSomewhere(t, Fact{5}));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Deterministic work bounds for the evaluation fast paths.
+// Deterministic work bounds for the evaluation fast paths and the SAT core.
 //
 // Each case runs one benchmark shape (bench/ext_conditioned_datalog.cc,
-// bench/join_index.cc, bench/thm52_bounded_possibility.cc) at its largest
-// CI smoke size and asserts the stats counters of the one evaluation path:
+// bench/join_index.cc, bench/thm52_bounded_possibility.cc,
+// bench/sat_core.cc) at its largest CI smoke size and asserts the stats
+// counters of the one evaluation path:
 //
 //   - mechanism floors: the index is probed, the semi-naive deltas derive
 //     each ground row once, fused joins never fall back to nested loops or
@@ -10,7 +11,13 @@
 //     stratum per firing SCC, the interner's And cache carries the self-join;
 //   - work ceilings: join work (index hits plus pruned branches, or pairs
 //     enumerated) and row work (derived plus subsumed rows) stay within 1.25x
-//     of the values measured when these bounds were set.
+//     of the values measured when these bounds were set;
+//   - SAT work ceilings: conflicts, decisions, propagations and watch-list
+//     visits of the CDCL core, also within 1.25x of the measured values. On
+//     the pure-propagation chain the watch-visit ceiling is linear in the
+//     chain length, so a propagation loop that re-scans the clause list per
+//     assigned literal (quadratic) fails it; conflict analysis that stops
+//     learning blows the pigeonhole and coloring conflict ceilings.
 //
 // The counters are a function of the input alone (private interners, fresh
 // tables), so the bounds hold in every build mode and under sanitizers. A
@@ -30,6 +37,8 @@
 #include "datalog/program.h"
 #include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
+#include "reductions/sat_encode.h"
+#include "solvers/sat.h"
 #include "tables/ctable.h"
 #include "test_util.h"
 #include "workload/random_gen.h"
@@ -279,6 +288,49 @@ TEST(WorkBoundsTest, SelfJoinImageHitsTheAndCache) {
   EXPECT_LE(is.and_calls, 34106u);                 // measured 27285
   EXPECT_LE(interner.num_conjunctions(), 3572u);   // measured 2858
   EXPECT_LE(s.join_pairs + s.scan_pairs, 50560u);  // measured 40448
+}
+
+// --- SAT core (bench/sat_core.cc) --------------------------------------------
+
+/// Solves `formula` and checks the expected verdict; returns the work.
+SatStats SolveForStats(const ClausalFormula& formula, bool expected_sat) {
+  SatResult result = SolveCnf(formula);
+  EXPECT_EQ(result.sat, expected_sat);
+  return result.stats;
+}
+
+TEST(WorkBoundsTest, SatChainPropagatesInLinearWork) {
+  // Chain at length 4096: the root units force every link by propagation
+  // alone, with no decision and one root conflict. Each clause is visited
+  // about once through its watches.
+  SatStats s = SolveForStats(ScrambledImplicationChainCnf(4096), false);
+  EXPECT_LE(s.conflicts, 1);         // measured 1
+  EXPECT_LE(s.decisions, 0);         // measured 0
+  EXPECT_LE(s.propagations, 5115);   // measured 4092
+  EXPECT_LE(s.watch_visits, 5116);   // measured 4093
+}
+
+TEST(WorkBoundsTest, SatPigeonholeLearnsItsWayOut) {
+  // Pigeonhole at 6 holes, PHP(7, 6): unsatisfiable, refuted by learned
+  // clauses and restarts.
+  SatStats s = SolveForStats(PigeonholeCnf(6), false);
+  EXPECT_LE(s.conflicts, 1296);        // measured 1037
+  EXPECT_LE(s.decisions, 1645);        // measured 1316
+  EXPECT_LE(s.propagations, 18521);    // measured 14817
+  EXPECT_LE(s.watch_visits, 362587);   // measured 290070
+}
+
+TEST(WorkBoundsTest, SatColoringFindsThePlantedColoring) {
+  // Coloring at 64 nodes: the planted 3-colorable graph of the bench
+  // (seed 211 + 64, edge probability 0.5), satisfiable.
+  std::mt19937 rng(211u + 64u);
+  ClausalFormula cnf =
+      GraphColoringToCnf(RandomThreeColorableGraph(64, 0.5, rng), 3);
+  SatStats s = SolveForStats(cnf, true);
+  EXPECT_LE(s.conflicts, 10);        // measured 8
+  EXPECT_LE(s.decisions, 18);        // measured 15
+  EXPECT_LE(s.propagations, 687);    // measured 550
+  EXPECT_LE(s.watch_visits, 2456);   // measured 1965
 }
 
 }  // namespace

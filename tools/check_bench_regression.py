@@ -15,8 +15,6 @@ each fast-path benchmark with its twin by name:
                                               backend vs the conjunctive
                                               antichain backend, gated at a
                                               tightened 1.2x)
-    *_Cdcl/N           vs  *_Dpll/N          (trail-based CDCL SAT core vs
-                                              the seed recursive DPLL)
 
 Exits nonzero when any fast path takes more than --max-ratio times its twin
 (default 2.0, the CI regression budget; pairs may carry a tighter
@@ -38,14 +36,6 @@ exponential growth at high condition diversity, so a collapse to parity at
 the big sizes is a regression even though the pairwise 1.2x check passes.
 Fails as vacuous when the floor is set but no such family pair exists.
 
-With --cdcl-speedup-floor > 0 (default 5.0), enforces the propagation gate
-on the SAT core: for every *Chain_Cdcl family swept over sizes `<base>/N`,
-the seed-DPLL twin at the LARGEST common N must take at least that factor
-longer. The chain instances are pure unit propagation — watched literals
-walk them in linear time while the seed solver's re-scan loop is quadratic —
-so a collapse to parity means the watcher machinery broke. Fails as vacuous
-when the floor is set but no such family pair exists.
-
 Every benchmark that reports an `agrees_with_*` counter (the verdict of a
 decision procedure checked against an independent solver on a hardness
 reduction) must report it as 1; any other value fails the run.
@@ -61,7 +51,7 @@ import sys
 # lose the low-diversity end of its sweep by more than 1.2x.
 PAIRS = [("Magic", "FullFixpoint", None),
          ("Incremental", "Recompute", None), ("Snapshot", "Direct", None),
-         ("DDBackend", "Antichain", 1.2), ("Cdcl", "Dpll", None)]
+         ("DDBackend", "Antichain", 1.2)]
 
 THREADED_NAME = re.compile(r"^(?P<base>.+)/(?P<n>\d+)(?:/real_time)?$")
 
@@ -158,36 +148,6 @@ def check_dd_speedup(benchmarks, floor):
     return checked, failures
 
 
-def check_cdcl_speedup(benchmarks, floor):
-    """seed/fast at the largest size of every *Chain_Cdcl sweep >= floor."""
-    families = {}
-    for name, (fast_time, unit, _) in benchmarks.items():
-        if "Chain_Cdcl" not in name:
-            continue
-        m = THREADED_NAME.match(name)
-        if m is None:
-            continue
-        seed_name = name.replace("Cdcl", "Dpll")
-        if seed_name not in benchmarks:
-            continue
-        families.setdefault(m.group("base"), {})[int(m.group("n"))] = \
-            (fast_time, benchmarks[seed_name][0], unit)
-    failures = []
-    checked = 0
-    for base in sorted(families):
-        checked += 1
-        largest = max(families[base])
-        fast_time, seed_time, unit = families[base][largest]
-        speedup = seed_time / fast_time if fast_time > 0 else 0.0
-        status = "FAIL" if speedup < floor else "ok"
-        print(f"[{status}] {base}/{largest}: {fast_time:.0f}{unit} vs "
-              f"seed DPLL {seed_time:.0f}{unit} "
-              f"(speedup {speedup:.1f}x, floor {floor:.1f}x)")
-        if speedup < floor:
-            failures.append(base)
-    return checked, failures
-
-
 def check_scaling(benchmarks, min_scale, scale_threads):
     """items_per_second at `scale_threads` must beat 1-thread by min_scale."""
     families = {}
@@ -233,9 +193,6 @@ def main():
     parser.add_argument("--dd-speedup-floor", type=float, default=5.0,
                         help="minimum antichain/DD time factor at the largest "
                              "size of every *_DDBackend sweep (0 disables)")
-    parser.add_argument("--cdcl-speedup-floor", type=float, default=5.0,
-                        help="minimum DPLL/CDCL time factor at the largest "
-                             "size of every *Chain_Cdcl sweep (0 disables)")
     args = parser.parse_args()
 
     benchmarks = load_benchmarks(args.json_files)
@@ -267,16 +224,6 @@ def main():
                   file=sys.stderr)
             return 1
         failures += dd_failures
-
-    if args.cdcl_speedup_floor > 0:
-        cdcl_checked, cdcl_failures = check_cdcl_speedup(
-            benchmarks, args.cdcl_speedup_floor)
-        if cdcl_checked == 0:
-            print("error: --cdcl-speedup-floor set but no Chain_Cdcl/"
-                  "Chain_Dpll benchmark family was found; the propagation "
-                  "gate is vacuous", file=sys.stderr)
-            return 1
-        failures += cdcl_failures
 
     if failures:
         print(f"{len(failures)} of {checked} gated paths failed",
