@@ -128,23 +128,36 @@ BENCHMARK(BM_ConditionedTC_SharedNullChain_IndexedJoin)
     ->DenseRange(8, 24, 8)
     ->Unit(benchmark::kMicrosecond);
 
+/// A goal query answered by the magic-set rewrite (DatalogQueryOnCTables)
+/// or, with `magic` false, by the reference it must equal: the full
+/// fixpoint's goal table restricted to the bindings, with the global
+/// condition attached.
+CTable QueryGoal(const DatalogProgram& program, const CDatabase& db, int goal,
+                 const std::vector<std::optional<ConstId>>& bindings,
+                 bool magic, ConditionedFixpointStats* stats) {
+  if (magic) return DatalogQueryOnCTables(program, db, goal, bindings, stats);
+  ConditionInterner& interner = ConditionInterner::Global();
+  ConjId global_id = db.CombinedGlobalId(interner);
+  CDatabase full = DatalogOnCTables(program, db, stats);
+  CTable out = RestrictTableToGoal(full.table(static_cast<size_t>(goal)),
+                                   bindings, global_id, interner);
+  out.SetGlobal(db.CombinedGlobal(), global_id, interner);
+  return out;
+}
+
 // Demand-driven (magic-set) point query: who does node 0 reach? The full
 // fixpoint derives all O(n^2) transitive-closure facts before restricting to
-// the goal; the magic-set rewrite (DatalogQueryOnCTables, use_magic) derives
-// only the O(n) demand-reachable ones. Paired as *_Magic / *_FullFixpoint
-// for the CI gate — the magic path must stay well under the 2x budget (it is
-// expected to be >= 10x faster at the largest smoke size).
-void RunPointQuery(benchmark::State& state, bool use_magic,
-                   const char* label) {
+// the goal; the magic-set rewrite (DatalogQueryOnCTables) derives only the
+// O(n) demand-reachable ones. Paired as *_Magic / *_FullFixpoint for the CI
+// gate — the magic path must stay well under the 2x budget (it is expected
+// to be >= 10x faster at the largest smoke size).
+void RunPointQuery(benchmark::State& state, bool magic, const char* label) {
   CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/0);
   DatalogProgram tc = TransitiveClosure();
   std::vector<std::optional<ConstId>> bindings{ConstId{0}, std::nullopt};
-  DatalogCTableOptions options;
-  options.use_magic = use_magic;
   ConditionedFixpointStats stats;
   for (auto _ : state) {
-    CTable out = DatalogQueryOnCTables(tc, db, /*goal=*/1, bindings, &stats,
-                                       options);
+    CTable out = QueryGoal(tc, db, /*goal=*/1, bindings, magic, &stats);
     benchmark::DoNotOptimize(out);
   }
   state.counters["rows"] = static_cast<double>(stats.derived_rows);
@@ -156,7 +169,7 @@ void RunPointQuery(benchmark::State& state, bool use_magic,
 }
 
 void BM_ConditionedTC_PointQuery_Magic(benchmark::State& state) {
-  RunPointQuery(state, /*use_magic=*/true,
+  RunPointQuery(state, /*magic=*/true,
                 "tc(0, ?) on a ground chain, magic-set demand evaluation");
 }
 BENCHMARK(BM_ConditionedTC_PointQuery_Magic)
@@ -164,7 +177,7 @@ BENCHMARK(BM_ConditionedTC_PointQuery_Magic)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ConditionedTC_PointQuery_FullFixpoint(benchmark::State& state) {
-  RunPointQuery(state, /*use_magic=*/false,
+  RunPointQuery(state, /*magic=*/false,
                 "tc(0, ?) on a ground chain, full fixpoint then restrict");
 }
 BENCHMARK(BM_ConditionedTC_PointQuery_FullFixpoint)
@@ -215,21 +228,17 @@ std::vector<std::pair<Tuple, ConjId>> RowsWithIds(const CTable& t) {
 // factored rewrite (datalog/magic.h) derives only demand facts and the
 // goal's own answers. `agrees_with_full` is 1 iff both paths return
 // identical rows.
-void RunNullRoutedQuery(benchmark::State& state, bool use_magic,
+void RunNullRoutedQuery(benchmark::State& state, bool magic,
                         const char* label) {
   CDatabase db = NullRoutedDag(static_cast<int>(state.range(0)));
   DatalogProgram tc = RightRecursiveTc();
   std::vector<std::optional<ConstId>> bindings{ConstId{0}, std::nullopt};
-  DatalogCTableOptions options;
-  options.use_magic = use_magic;
-  DatalogCTableOptions other;
-  other.use_magic = !use_magic;
   const CTable reference =
-      DatalogQueryOnCTables(tc, db, /*goal=*/1, bindings, nullptr, other);
+      QueryGoal(tc, db, /*goal=*/1, bindings, !magic, nullptr);
   ConditionedFixpointStats stats;
   CTable out;
   for (auto _ : state) {
-    out = DatalogQueryOnCTables(tc, db, /*goal=*/1, bindings, &stats, options);
+    out = QueryGoal(tc, db, /*goal=*/1, bindings, magic, &stats);
     benchmark::DoNotOptimize(out);
   }
   state.counters["rows"] = static_cast<double>(stats.derived_rows);
@@ -242,7 +251,7 @@ void RunNullRoutedQuery(benchmark::State& state, bool use_magic,
 }
 
 void BM_ConditionedTC_NullRoutedQuery_Magic(benchmark::State& state) {
-  RunNullRoutedQuery(state, /*use_magic=*/true,
+  RunNullRoutedQuery(state, /*magic=*/true,
                      "tc(0, ?) on a null-routed DAG, magic-set demand");
 }
 BENCHMARK(BM_ConditionedTC_NullRoutedQuery_Magic)
@@ -250,7 +259,7 @@ BENCHMARK(BM_ConditionedTC_NullRoutedQuery_Magic)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ConditionedTC_NullRoutedQuery_FullFixpoint(benchmark::State& state) {
-  RunNullRoutedQuery(state, /*use_magic=*/false,
+  RunNullRoutedQuery(state, /*magic=*/false,
                      "tc(0, ?) on a null-routed DAG, full fixpoint");
 }
 BENCHMARK(BM_ConditionedTC_NullRoutedQuery_FullFixpoint)

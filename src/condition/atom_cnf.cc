@@ -48,4 +48,51 @@ bool SolveAtomCnf(BindingEnv& env, const std::vector<AtomClause>& clauses) {
   return SolveAtomCnf(env, kept, ClausePolarity::kSomeAtomHolds);
 }
 
+std::vector<ConjId> CoveringAntichain(ConditionInterner& interner,
+                                      std::vector<ConjId> disjuncts) {
+  std::sort(disjuncts.begin(), disjuncts.end());
+  disjuncts.erase(std::unique(disjuncts.begin(), disjuncts.end()),
+                  disjuncts.end());
+  std::vector<ConjId> kept;
+  for (ConjId m : disjuncts) {
+    if (m == ConditionInterner::kFalseConj) continue;
+    if (m == ConditionInterner::kTrueConj) return {m};
+    bool absorbed = false;
+    for (ConjId other : disjuncts) {
+      if (other == m || other == ConditionInterner::kFalseConj) continue;
+      if (!interner.Implies(m, other)) continue;
+      // m -> other: m is redundant, unless they are equivalent and m is
+      // the designated (smaller-id) representative.
+      if (interner.Implies(other, m) && m < other) continue;
+      absorbed = true;
+      break;
+    }
+    if (!absorbed) kept.push_back(m);
+  }
+  return kept;
+}
+
+bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
+                            const std::vector<ConjId>& disjuncts) {
+  if (lhs == ConditionInterner::kFalseConj) return true;
+  std::vector<std::span<const CondAtom>> negs;
+  negs.reserve(disjuncts.size());
+  for (ConjId d : disjuncts) {
+    if (d == ConditionInterner::kFalseConj) continue;
+    if (d == ConditionInterner::kTrueConj) return true;
+    // Memoized pairwise fast path: implying any single disjunct suffices.
+    if (interner.Implies(lhs, d)) return true;
+    negs.emplace_back(interner.Resolve(d).atoms());
+  }
+  if (negs.empty()) return false;  // lhs satisfiable, empty disjunction
+  // lhs /\ NOT d1 /\ ... /\ NOT dk is a conjunction of literals plus a CNF
+  // with one clause per disjunct (the negated atoms). Over the infinite
+  // domain it is satisfiable iff some choice of one negated atom per clause
+  // is congruence-consistent with lhs, which the search decides exactly.
+  // No such valuation means the implication holds.
+  BindingEnv env;
+  if (!env.Assert(interner.Resolve(lhs))) return true;
+  return !SolveAtomCnf(env, negs, ClausePolarity::kSomeAtomFails);
+}
+
 }  // namespace pw

@@ -1,30 +1,31 @@
-// Condition backends: pluggable representations of row conditions.
+// Condition backends: the representations the conditioned fixpoint's rows
+// travel in.
 //
-// The conditioned fixpoint and the decision procedures manipulate row
-// conditions through four operations — conjoin, disjoin, implication,
-// satisfiability — plus a tautology check against a global condition. The
-// paper's c-tables make every row condition a conjunction, so the original
-// implementation works on interned conjunction ids (ConditionInterner) and
-// keeps "a row's condition" as a *set* of conjunctions (an implicit DNF,
-// maintained as a covering antichain via pairwise implication). At high
-// condition diversity that antichain is genuinely exponential: over the
-// infinite domain a union of strictly stronger conjunctions can never cover
-// a weaker one, so the antichain must keep them all.
+// The paper's c-tables make every row condition a conjunction, so the
+// original implementation works on interned conjunction ids
+// (ConditionInterner) and keeps "a row's condition" as a *set* of
+// conjunctions (a covering antichain of rows per tuple, maintained by the
+// fixpoint through pairwise implication). At high condition diversity that
+// antichain is genuinely exponential: over the infinite domain a union of
+// strictly stronger conjunctions can never cover a weaker one, so the
+// antichain must keep them all.
 //
-// ConditionBackend abstracts the representation behind a small interface so
-// a second implementation — hash-consed ordered decision diagrams over
-// condition atoms (condition/dd_backend.h) — can represent a row's condition
-// as ONE canonical id for an arbitrary boolean combination of atoms, making
-// And/Or/Implies polynomial diagram operations and certainty a tautology
-// check without DNF expansion. Both backends stay live behind an option flag
-// and are differentially cross-checked (tests/differential_test.cc).
+// ConditionBackend lets the fixpoint (ilalgebra/datalog_ctable.h) and IVM
+// (datalog/ivm.h) run on a second representation instead: hash-consed
+// ordered decision diagrams over condition atoms (condition/dd_backend.h),
+// which give a tuple's merged condition ONE canonical id. The interface is
+// what those two callers need — conjoin, admit under the global condition,
+// and expand back to conjunctions at export. The antichain backend is a
+// pass-through to the interner; the DD backend adds Or, which the fixpoint
+// and IVM reach through a DDBackend pointer. PW_CONDITION_BACKEND chooses
+// between them, and nothing else: the decision procedures (src/decision)
+// ask the interner directly and never depend on the backend.
 //
 // A CondId is meaningful only within the backend that produced it. Both
 // backends align their sentinels with the interner's, so kTrueCond/kFalseCond
-// mean true/false everywhere, and the conjunctive backend's CondIds for
-// conjunctions simply ARE the interner's ConjIds (its fixpoint fast path is
-// a passthrough). Ids are append-only for the backend's lifetime; backends
-// are as thread-safe as their interner (safe from many threads iff
+// mean true/false everywhere, and the antichain backend's CondIds simply ARE
+// the interner's ConjIds. Ids are append-only for the backend's lifetime;
+// backends are as thread-safe as their interner (safe from many threads iff
 // `interner().shared()`), with the same deferred-lock zero cost when it is
 // not.
 
@@ -43,10 +44,10 @@ namespace pw {
 /// sentinels in every backend (matching ConjId's sentinels).
 using CondId = uint32_t;
 
-/// Which condition representation a fixpoint (or decision procedure) runs
-/// on. kDefault resolves through the PW_CONDITION_BACKEND environment
-/// variable ("dd" or "antichain"), falling back to kConjunctions — so the CI
-/// matrix can drive whole suites onto the DD backend without code changes.
+/// Which condition representation a fixpoint runs on. kDefault resolves
+/// through the PW_CONDITION_BACKEND environment variable ("dd" or
+/// "antichain"), falling back to kConjunctions — so the CI matrix can drive
+/// whole suites onto the DD backend without code changes.
 enum class ConditionBackendKind {
   kDefault,
   kConjunctions,      // interned-conjunction antichains (the paper's c-tables)
@@ -74,38 +75,18 @@ class ConditionBackend {
 
   virtual const char* name() const = 0;
 
-  /// True when the backend keeps one id per *boolean function* (so a
-  /// fixpoint should merge same-tuple derivations with Or instead of
-  /// keeping a subsumption antichain, and exported rows may need DNF
-  /// expansion via AppendDisjuncts).
-  virtual bool disjunctive() const = 0;
-
   /// The backend id of an interned conjunction. Equal ConjIds map to equal
   /// CondIds; kTrueConj/kFalseConj map to kTrueCond/kFalseCond.
   virtual CondId FromConj(ConjId id) = 0;
 
-  /// Conjunction / disjunction of two backend conditions. Both are
-  /// commutative; implementations key their memo/op caches on the canonical
-  /// (min, max) id order, so argument order can never split cache entries.
+  /// Conjunction of two backend conditions. Commutative; implementations
+  /// key their memo/op caches on the canonical (min, max) id order, so
+  /// argument order can never split cache entries.
   virtual CondId And(CondId a, CondId b) = 0;
-  virtual CondId Or(CondId a, CondId b) = 0;
-
-  /// True iff every valuation (over the infinite domain) satisfying `a`
-  /// satisfies `b`. Exact — equality congruence included. Keyed on the
-  /// ordered (lhs, rhs) pair where memoized: implication is not symmetric.
-  virtual bool Implies(CondId a, CondId b) = 0;
-
-  /// True iff some valuation satisfies the condition. Exact.
-  virtual bool Satisfiable(CondId id) = 0;
 
   /// True iff some valuation satisfies `global` AND the condition — the
-  /// fixpoint's per-derivation admission test.
+  /// fixpoint's per-derivation admission test. Exact.
   virtual bool SatisfiableWith(ConjId global, CondId id) = 0;
-
-  /// True iff every valuation satisfying `global` satisfies the condition —
-  /// the certainty tautology check (the DD backend answers this without DNF
-  /// expansion; the conjunctive backend via an exact backtracking check).
-  virtual bool TautologyUnder(ConjId global, CondId id) = 0;
 
   /// Appends a finite set of satisfiable interned conjunctions whose union
   /// is exactly the condition — the export path back into conjunctive
@@ -120,15 +101,6 @@ class ConditionBackend {
 /// Constructs a backend of the (resolved) kind over `interner`.
 std::unique_ptr<ConditionBackend> MakeConditionBackend(
     ConditionBackendKind kind, ConditionInterner& interner);
-
-/// True iff `lhs` implies the disjunction of `disjuncts` over the infinite
-/// domain — exact: after the memoized pairwise checks, SolveAtomCnf
-/// (condition/atom_cnf.h) searches for a valuation of lhs that falsifies one
-/// atom of every disjunct, reading each disjunct's interned atoms in place
-/// (the coNP check, exponential only in the number of disjuncts). The
-/// conjunctive backend's implication and tautology paths run on it.
-bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
-                            const std::vector<ConjId>& disjuncts);
 
 }  // namespace pw
 

@@ -7,16 +7,21 @@
 // And/Implies on it pays for the whole set. DDBackend instead gives each
 // *boolean function* of condition atoms one canonical id: a reduced ordered
 // decision diagram (ROBDD discipline) whose decision variables are condition
-// atoms under a semantic order (see VarBefore). And/Or/Not are then the classic
+// atoms under a semantic order (see VarBefore). And/Or are then the classic
 // polynomial Apply recursion over a node unique-table and a memoized
 // operation cache — the same hash-consing pattern the interner already uses
 // for conjunctions, sharded 16 ways with deferred locks so it is free
-// single-threaded and safe under PR 7's shared mode.
+// single-threaded and safe in the interner's shared mode.
+//
+// The fixpoint (ilalgebra/datalog_ctable.h) and IVM's covered-delete check
+// (datalog/ivm.h) are its only callers: they merge a tuple's derivations
+// with Or, admit rows with SatisfiableWith and export with AppendDisjuncts.
+// No decision procedure runs on diagrams.
 //
 // The diagrams are propositional: a node branches on an atom's truth value
 // with no knowledge that `x = y` and `x != y` exclude each other or that
 // equality is a congruence. Theory reasoning happens exactly where verdicts
-// are produced — Satisfiable/Implies/TautologyUnder run a BindingEnv-pruned
+// are produced — SatisfiableWith and AppendDisjuncts run a BindingEnv-pruned
 // DFS over diagram paths, which is exact over the paper's infinite constant
 // domain (a path is a conjunction of =/!= literals, and BindingEnv decides
 // those completely). Satisfiability caches its context-free verdict per id;
@@ -51,26 +56,21 @@ class DDBackend final : public ConditionBackend {
       : ConditionBackend(interner) {}
 
   const char* name() const override { return "dd"; }
-  bool disjunctive() const override { return true; }
 
   CondId FromConj(ConjId id) override;
   CondId And(CondId a, CondId b) override;
-  CondId Or(CondId a, CondId b) override;
-  bool Implies(CondId a, CondId b) override;
-  bool Satisfiable(CondId id) override;
   bool SatisfiableWith(ConjId global, CondId id) override;
-  bool TautologyUnder(ConjId global, CondId id) override;
   void AppendDisjuncts(CondId id, std::vector<ConjId>* out) override;
 
-  /// Negation (sentinels swap, internal structure is shared). Exposed for
-  /// tests; Implies/TautologyUnder use it internally.
-  CondId Not(CondId id);
+  /// Disjunction, memoized like And on the canonical (min, max) pair. The
+  /// fixpoint merges a tuple's derivations with it.
+  CondId Or(CondId a, CondId b);
 
   /// Diagram nodes allocated so far (excluding the two sentinels).
   size_t num_nodes() const { return nodes_.size(); }
 
  private:
-  enum class Op : uint32_t { kAnd, kOr, kNot, kImplies, kSat };
+  enum class Op : uint32_t { kAnd, kOr, kSat };
 
   struct Node {
     AtomId var;  // decision atom; strictly increases along any path
@@ -173,6 +173,9 @@ class DDBackend final : public ConditionBackend {
   /// Op-cache read / write.
   bool CacheLookup(const OpKey& key, CondId* out);
   void CacheStore(const OpKey& key, CondId value);
+
+  /// True iff some valuation satisfies the diagram; memoized per id.
+  bool Satisfiable(CondId id);
 
   /// Theory-pruned path DFS under the assertions already in `env`.
   bool SatSearch(CondId id, BindingEnv& env);

@@ -198,9 +198,6 @@ class ConditionInterner {
   /// override before destroying the instance.
   static void SetProcessShared(ConditionInterner* interner);
 
-  /// The current process-wide override, or nullptr.
-  static ConditionInterner* ProcessShared();
-
   /// Cache-effectiveness counters (for benches and tests). Frozen (no longer
   /// updated) once EnableSharing() was called.
   struct Stats {

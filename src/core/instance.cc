@@ -11,11 +11,6 @@ Instance::Instance(const std::vector<int>& arities) {
   for (int a : arities) relations_.emplace_back(a);
 }
 
-size_t Instance::AddRelation(Relation r) {
-  relations_.push_back(std::move(r));
-  return relations_.size() - 1;
-}
-
 std::vector<int> Instance::Arities() const {
   std::vector<int> out;
   out.reserve(relations_.size());

@@ -35,9 +35,6 @@ class Instance {
   const Relation& relation(size_t i) const { return relations_[i]; }
   Relation& mutable_relation(size_t i) { return relations_[i]; }
 
-  /// Appends a relation, returning its index.
-  size_t AddRelation(Relation r);
-
   /// The arities of all relations, in order.
   std::vector<int> Arities() const;
 

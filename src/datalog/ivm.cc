@@ -3,7 +3,7 @@
 #include <cassert>
 #include <utility>
 
-#include "condition/backend.h"
+#include "condition/dd_backend.h"
 #include "tables/updates.h"
 
 namespace pw {
@@ -115,9 +115,8 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
   // the raw local conditions, NOT conjoined with the global: a row merely
   // rep()-redundant under the global is still live in the evaluator, and
   // treating it as covered would leave stale rows a recomputation lacks.
-  ConditionBackend& backend = fix_->backend();
   bool covered = true;
-  if (backend.disjunctive()) {
+  if (DDBackend* dd = fix_->dd_backend()) {
     // DD backend: the fixpoint keeps ONE live row per tuple whose condition
     // is the Or over the admitted seeds, so the removed row left no trace
     // iff it was dropped at seed time or the kept rows' disjunction
@@ -126,15 +125,14 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
     // covered: the ids would differ and later deltas would reason against a
     // diagram a recomputation lacks; those cases take the cone rebuild.
     for (const CRow& removed : delta.removed) {
-      CondId removed_cond = backend.FromConj(removed.LocalId(interner));
-      if (!backend.SatisfiableWith(global_id_, removed_cond)) continue;
+      CondId removed_cond = dd->FromConj(removed.LocalId(interner));
+      if (!dd->SatisfiableWith(global_id_, removed_cond)) continue;
       CondId kept_or = ConditionBackend::kFalseCond;
       for (const CRow& kept : delta.kept) {
         if (kept.tuple != removed.tuple) continue;
-        kept_or = backend.Or(kept_or,
-                             backend.FromConj(kept.LocalId(interner)));
+        kept_or = dd->Or(kept_or, dd->FromConj(kept.LocalId(interner)));
       }
-      if (backend.Or(kept_or, removed_cond) != kept_or) {
+      if (dd->Or(kept_or, removed_cond) != kept_or) {
         covered = false;
         break;
       }

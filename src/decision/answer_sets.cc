@@ -1,10 +1,8 @@
 #include "decision/answer_sets.h"
 
 #include <functional>
-#include <memory>
 #include <set>
 
-#include "condition/backend.h"
 #include "condition/binding_env.h"
 #include "decision/certainty.h"
 #include "ilalgebra/ctable_eval.h"
@@ -147,15 +145,13 @@ Instance CertainAnswers(const View& view, const CDatabase& database) {
   Instance candidates = PossibleAnswers(view, database);
   if (auto image = ImageOf(view, database)) {
     ConditionInterner& interner = ConditionInterner::Global();
-    std::unique_ptr<ConditionBackend> backend =
-        MakeConditionBackend(ConditionBackendKind::kDefault, interner);
     ConjId global_id = image->CombinedGlobalId(interner);
     std::vector<Relation> out;
     for (size_t p = 0; p < candidates.num_relations(); ++p) {
       Relation r(candidates.relation(p).arity());
       for (const Fact& f : candidates.relation(p)) {
         if (p < image->num_tables() &&
-            CertainFactInTable(image->table(p), f, global_id, *backend)) {
+            CertainFactInTable(image->table(p), f, global_id, interner)) {
           r.Insert(f);
         }
       }

@@ -1,7 +1,6 @@
 #include "decision/certainty.h"
 
-#include <memory>
-
+#include "condition/atom_cnf.h"
 #include "datalog/certain.h"
 #include "ilalgebra/ctable_eval.h"
 #include "tables/world_enum.h"
@@ -37,9 +36,8 @@ std::pair<DatalogProgram, std::vector<int>> IdentityAsDatalog(
 }  // namespace
 
 bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
-                        ConditionBackend& backend) {
-  ConditionInterner& interner = backend.interner();
-  CondId disj = ConditionBackend::kFalseCond;
+                        ConditionInterner& interner) {
+  std::vector<ConjId> alternatives;
   if (static_cast<size_t>(table.arity()) == fact.size()) {
     for (const CRow& row : table.rows()) {
       // The world contains `fact` through this row iff the row's condition
@@ -57,12 +55,14 @@ bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
       if (mismatch) continue;
       ConjId cond = row.LocalId(interner);
       if (eqs.size() > 0) cond = interner.And(cond, interner.Intern(eqs));
-      if (cond == ConditionInterner::kFalseConj) continue;
-      disj = backend.Or(disj, backend.FromConj(cond));
-      if (disj == ConditionBackend::kTrueCond) break;  // already a tautology
+      if (cond == ConditionInterner::kTrueConj) return true;
+      if (cond != ConditionInterner::kFalseConj) alternatives.push_back(cond);
     }
   }
-  return backend.TautologyUnder(global_id, disj);
+  std::vector<ConjId> antichain =
+      CoveringAntichain(interner, std::move(alternatives));
+  if (antichain.size() == 1) return interner.Implies(global_id, antichain[0]);
+  return ConjImpliesDisjunction(interner, global_id, antichain);
 }
 
 std::optional<bool> CertDatalogGTables(
@@ -120,8 +120,7 @@ bool Certainty(const View& view, const CDatabase& database,
                const std::vector<LocatedFact>& pattern) {
   if (auto fast = CertDatalogGTables(view, database, pattern)) return *fast;
   // The identity, and positive existential views through their
-  // Imielinski–Lipski image: a per-fact certainty tautology over the image
-  // through the configured condition backend.
+  // Imielinski–Lipski image: one certainty question per fact over the image.
   std::optional<CDatabase> evaluated;
   const CDatabase* image = view.is_identity() ? &database : nullptr;
   if (view.is_ra() && view.IsPositiveExistential(/*allow_neq=*/true)) {
@@ -131,13 +130,11 @@ bool Certainty(const View& view, const CDatabase& database,
   if (image == nullptr) return CertaintySearch(view, database, pattern);
   if (RepIsEmpty(database)) return true;  // vacuous
   ConditionInterner& interner = ConditionInterner::Global();
-  std::unique_ptr<ConditionBackend> backend =
-      MakeConditionBackend(ConditionBackendKind::kDefault, interner);
   ConjId global_id = image->CombinedGlobalId(interner);
   for (const LocatedFact& lf : pattern) {
     if (lf.relation >= image->num_tables() ||
         !CertainFactInTable(image->table(lf.relation), lf.fact, global_id,
-                            *backend)) {
+                            interner)) {
       return false;
     }
   }

@@ -7,9 +7,10 @@
 //   - CERT(*, q) for DATALOG q on g-tables: PTIME (Thm 5.3(1), after [10,17])
 //     by evaluating the fixpoint on the matrix as if complete
 //   - CERT(1, q) for a first order q on a table: coNP-complete (Thm 5.3(2));
-//     for the identity and positive existential views, a per-fact tautology
-//     check over the Imielinski–Lipski image (CertainFactInTable); exact
-//     valuation enumeration otherwise
+//     for the identity and positive existential views, one coNP question
+//     per fact over the Imielinski–Lipski image (CertainFactInTable: does
+//     the global condition imply the disjunction of the fact's per-row
+//     alternatives?); exact valuation enumeration otherwise
 //   - CERT(*, q) is PTIME-equivalent to CERT(1, q) (Prop. 2.1(6)):
 //     CertaintyFactwise demonstrates the reduction.
 
@@ -19,7 +20,7 @@
 #include <optional>
 #include <vector>
 
-#include "condition/backend.h"
+#include "condition/interner.h"
 #include "core/instance.h"
 #include "decision/view.h"
 #include "tables/ctable.h"
@@ -27,16 +28,17 @@
 namespace pw {
 
 /// True iff `fact` is present in every world of `table` under `global_id`:
-/// decides the tautology  global -> OR over rows (row condition AND
-/// row tuple = fact)  through `backend`, without enumerating worlds or
-/// expanding a DNF — the DD backend answers with one Not/And/Satisfiable
-/// pass, the conjunctive backend with the exact backtracking disjunction
-/// check (ConjImpliesDisjunction). Exact for any c-table (an unsatisfiable
-/// global makes everything vacuously certain, matching rep-emptiness). The
-/// one fact-certainty procedure: Certainty, CertainAnswers and
+/// decides  global -> OR over rows (row condition AND row tuple = fact)
+/// without enumerating worlds. The per-row alternatives are interned in row
+/// order (a true one answers at once), reduced to their covering antichain
+/// (condition/atom_cnf.h CoveringAntichain), and asked as one
+/// ConjImpliesDisjunction question; a lone alternative is one memoized
+/// interner.Implies. Exact for any c-table (an unsatisfiable global makes
+/// everything vacuously certain, matching rep-emptiness). The one
+/// fact-certainty procedure: Certainty, CertainAnswers and
 /// ExistsWorldOtherThan all decide per-fact certainty through it.
 bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
-                        ConditionBackend& backend);
+                        ConditionInterner& interner);
 
 /// PTIME certainty for DATALOG views of g-table databases. If rep(database)
 /// is empty the answer is vacuously true. Returns std::nullopt when the view

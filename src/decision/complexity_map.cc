@@ -106,10 +106,6 @@ ComplexityClass UniquenessComplexity(RepKind rep) {
   return ComplexityClass::kCoNp;
 }
 
-ComplexityClass UniquenessComplexityPosExistentialETable() {
-  return ComplexityClass::kPTime;  // Thm 3.2(2)
-}
-
 ComplexityClass PossibilityUnboundedComplexity(RepKind rep) {
   switch (rep) {
     case RepKind::kInstance:

@@ -3,8 +3,12 @@
 // Fig. 2 of the paper classifies the 49 cases of the containment problem by
 // the representation of each side; Theorems 3.1, 3.2, 5.1, 5.2 and 5.3
 // classify membership, uniqueness, possibility and certainty. This module
-// encodes those classifications so benchmarks and tools can print the
-// predicted class next to measured behaviour.
+// encodes those classifications, one function per problem keyed by the
+// representation kind, so benchmarks and tools can print the predicted
+// class next to measured behaviour. A cell the paper states for a query
+// class rather than a representation (Thm 3.2(2): uniqueness for positive
+// existential views of e-tables is PTIME) is noted at its function, not
+// encoded.
 
 #ifndef PW_DECISION_COMPLEXITY_MAP_H_
 #define PW_DECISION_COMPLEXITY_MAP_H_
@@ -44,13 +48,10 @@ ComplexityClass ContainmentComplexity(RepKind lhs, RepKind rhs);
 ComplexityClass MembershipComplexity(RepKind rep);
 
 /// Theorem 3.2 (and Prop. 2.1(3)): the complexity of UNIQ. `view` kinds here
-/// mean positive existential with != views of tables (Thm 3.2(4)); positive
-/// existential views of e-tables are PTIME (Thm 3.2(2)) and are reported by
-/// UniquenessComplexityPosExistentialETable().
+/// mean positive existential with != views of tables (Thm 3.2(4)). Positive
+/// existential views of e-tables (no !=) are PTIME by Thm 3.2(2); that cell
+/// has no RepKind of its own and is not reported here.
 ComplexityClass UniquenessComplexity(RepKind rep);
-
-/// Thm 3.2(2): pos. existential (no !=) views of e-tables.
-ComplexityClass UniquenessComplexityPosExistentialETable();
 
 /// Theorem 5.1: the complexity of POSS(*, -) / POSS(*, q) per representation.
 ComplexityClass PossibilityUnboundedComplexity(RepKind rep);

@@ -1,9 +1,6 @@
 #include "decision/world_csp.h"
 
-#include <memory>
-
 #include "condition/atom_cnf.h"
-#include "condition/backend.h"
 #include "condition/binding_env.h"
 #include "decision/certainty.h"
 
@@ -46,12 +43,10 @@ bool ExistsWorldOtherThan(const CDatabase& database,
 
   // Reason (b): some instance fact is missing from some world.
   ConditionInterner& interner = ConditionInterner::Global();
-  std::unique_ptr<ConditionBackend> backend =
-      MakeConditionBackend(ConditionBackendKind::kDefault, interner);
   ConjId global_id = database.CombinedGlobalId(interner);
   for (size_t k = 0; k < database.num_tables(); ++k) {
     for (const Fact& f : instance.relation(k)) {
-      if (!CertainFactInTable(database.table(k), f, global_id, *backend)) {
+      if (!CertainFactInTable(database.table(k), f, global_id, interner)) {
         return true;
       }
     }

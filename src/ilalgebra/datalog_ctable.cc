@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "condition/dd_backend.h"
 #include "datalog/magic.h"
 #include "tables/tuple_index.h"
 
@@ -85,10 +86,11 @@ struct RulePlan {
 struct EvalState {
   ConditionInterner* interner = nullptr;
   // The condition representation rows travel in (owned by the Impl). `dd`
-  // caches backend->disjunctive(): true switches Insert from the subsumption
-  // antichain to one-live-row-per-tuple Or-merging.
+  // is the same backend when it is the decision-diagram one, else null:
+  // non-null switches Insert from the subsumption antichain to
+  // one-live-row-per-tuple Or-merging.
   ConditionBackend* backend = nullptr;
-  bool dd = false;
+  DDBackend* dd = nullptr;
   ConjId global_id = ConditionInterner::kTrueConj;
   // Predicates at or past this id are magic (demand) predicates of a
   // magic-rewritten program; their rows are attributed to the demand
@@ -160,7 +162,7 @@ bool Insert(EvalState& state, int pred, Tuple tuple, CondId cond) {
         ++state.stats.duplicate_rows;
         return false;
       }
-      CondId merged = backend.Or(existing.cond, cond);
+      CondId merged = state.dd->Or(existing.cond, cond);
       if (merged == existing.cond) {
         // The live condition already covers the new derivation.
         ++state.stats.subsumed_rows;
@@ -687,7 +689,7 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
   impl_->backend =
       MakeConditionBackend(options.condition_backend, *state.interner);
   state.backend = impl_->backend.get();
-  state.dd = state.backend->disjunctive();
+  state.dd = dynamic_cast<DDBackend*>(state.backend);
   state.magic_begin = options.magic_pred_begin;
   state.max_derived_rows = options.max_derived_rows;
   state.preds.resize(program.num_predicates());
@@ -707,9 +709,7 @@ ConditionInterner& ConditionedFixpoint::interner() const {
   return *impl_->state.interner;
 }
 
-ConditionBackend& ConditionedFixpoint::backend() const {
-  return *impl_->backend;
-}
+DDBackend* ConditionedFixpoint::dd_backend() const { return impl_->state.dd; }
 
 const ProgramAnalysis& ConditionedFixpoint::analysis() const {
   return *impl_->analysis;
@@ -987,23 +987,16 @@ CTable DatalogQueryOnCTables(const DatalogProgram& program,
   ConjId global_id = database.CombinedGlobalId(interner);
   ConditionedFixpointStats local;
   DatalogCTableOptions inner = options;
-  CDatabase fixpoint;
-  size_t goal_table;
-  if (options.use_magic) {
-    MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
-    inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
-    fixpoint = DatalogOnCTables(rewrite.program, database, &local, inner);
-    local.rules_adorned = rewrite.rules_adorned;
-    local.magic_rules = rewrite.magic_rules;
-    local.rules_pruned = rewrite.rules_pruned;
-    goal_table = static_cast<size_t>(rewrite.goal_predicate);
-  } else {
-    inner.magic_pred_begin = -1;
-    fixpoint = DatalogOnCTables(program, database, &local, inner);
-    goal_table = static_cast<size_t>(goal);
-  }
-  CTable result = RestrictTableToGoal(fixpoint.table(goal_table), bindings,
-                                      global_id, interner);
+  MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
+  inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
+  CDatabase fixpoint =
+      DatalogOnCTables(rewrite.program, database, &local, inner);
+  local.rules_adorned = rewrite.rules_adorned;
+  local.magic_rules = rewrite.magic_rules;
+  local.rules_pruned = rewrite.rules_pruned;
+  CTable result = RestrictTableToGoal(
+      fixpoint.table(static_cast<size_t>(rewrite.goal_predicate)), bindings,
+      global_id, interner);
   result.SetGlobal(database.CombinedGlobal(), global_id, interner);
   if (stats != nullptr) *stats = local;
   return result;

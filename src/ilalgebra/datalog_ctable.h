@@ -51,6 +51,8 @@
 
 namespace pw {
 
+class DDBackend;
+
 /// Statistics of a conditioned fixpoint run, including the interner-side
 /// counters the bench tracks for the perf trajectory.
 struct ConditionedFixpointStats {
@@ -76,8 +78,8 @@ struct ConditionedFixpointStats {
                                   // extend, they do not rebuild)
   size_t index_probes = 0;        // keyed probes during body-atom matching
   size_t index_hits = 0;          // candidate rows returned by those probes
-  // Demand counters of the magic-set path (DatalogQueryOnCTables with
-  // use_magic; all zero on a plain fixpoint).
+  // Demand counters of the magic-set path (DatalogQueryOnCTables; all zero
+  // on a plain fixpoint).
   size_t magic_facts = 0;     // demand rows kept across all magic predicates
   size_t rules_adorned = 0;   // guarded rules the rewrite emitted
   size_t magic_rules = 0;     // demand rules emitted, the seed included
@@ -113,14 +115,6 @@ struct DatalogCTableOptions {
   /// differ. kDefault resolves through the PW_CONDITION_BACKEND environment
   /// variable ("dd" selects diagrams), falling back to kConjunctions.
   ConditionBackendKind condition_backend = ConditionBackendKind::kDefault;
-
-  /// DatalogQueryOnCTables only: true (the default) evaluates the goal
-  /// through the magic-set rewrite (datalog/magic.h), so only
-  /// demand-reachable (tuple, condition-id) facts are derived; false runs
-  /// the full fixpoint and restricts its goal table afterwards. Both return
-  /// identical c-tables (same tuples, interned-id-identical conditions, up
-  /// to row order).
-  bool use_magic = true;
 
   /// Predicates at or past this id are magic (demand) predicates, so the
   /// fixpoint attributes their rows to the demand counters (magic_facts,
@@ -174,11 +168,11 @@ class ConditionedFixpoint {
   /// thread-local global).
   ConditionInterner& interner() const;
 
-  /// The condition backend this fixpoint's rows travel in (constructed from
-  /// options.condition_backend over interner()). Owned by the fixpoint; IVM
-  /// uses it to reason about exported conditions consistently with how they
-  /// were derived.
-  ConditionBackend& backend() const;
+  /// The decision-diagram backend this fixpoint's rows travel in, or null
+  /// on the antichain backend (options.condition_backend). Owned by the
+  /// fixpoint; IVM uses it to reason about exported conditions consistently
+  /// with how they were derived.
+  DDBackend* dd_backend() const;
 
   /// The program's static analysis (SCC strata, diagnostics, reachability
   /// cones), computed once at construction. The stratum schedule runs off
@@ -280,13 +274,14 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// antichain the fixpoint keeps). The input's combined global condition is
 /// attached.
 ///
-/// With `options.use_magic` (the default) the goal is evaluated through the
-/// magic-set rewrite (datalog/magic.h): the semi-naive conditioned fixpoint
-/// runs on the rewritten program, deriving only demand-reachable facts —
-/// conditions flow into the magic facts, so demand that cannot hold is
-/// pruned via the interner before guarded rule bodies fire. The result is
-/// identical (up to row order) to the restricted full fixpoint, which
-/// `use_magic = false` computes.
+/// The goal is evaluated through the magic-set rewrite (datalog/magic.h):
+/// the semi-naive conditioned fixpoint runs on the rewritten program,
+/// deriving only demand-reachable facts — conditions flow into the magic
+/// facts, so demand that cannot hold is pruned via the interner before
+/// guarded rule bodies fire. The result is identical (up to row order) to
+/// the restricted full fixpoint: RestrictTableToGoal over
+/// DatalogOnCTables(program, database).table(goal), with the combined
+/// global condition attached.
 /// `stats` additionally reports the demand counters.
 ///
 /// An invalid goal (datalog/magic.h ValidGoal) yields an empty arity-0 table

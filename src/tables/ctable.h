@@ -99,15 +99,6 @@ class CRow {
     return local_id_;
   }
 
-  /// A row with a different tuple but the same condition — including the
-  /// memoized id cache, so tuple rewrites (projection) don't force downstream
-  /// consumers to re-canonicalize the condition.
-  CRow WithTuple(Tuple new_tuple) const {
-    CRow out = *this;
-    out.tuple = std::move(new_tuple);
-    return out;
-  }
-
   Tuple tuple;
 
   friend bool operator==(const CRow& a, const CRow& b) {

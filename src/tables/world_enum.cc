@@ -18,21 +18,12 @@ struct EnumState {
   // For each variable position, the global atoms fully assigned at it.
   std::vector<std::vector<const CondAtom*>> atoms_at;
   const std::function<bool(const Valuation&)>* fn;
-  uint64_t remaining = 0;  // satisfying valuations still allowed (0 = inf)
-  bool use_limit = false;
   bool complete = true;
   Valuation valuation;
 };
 
 bool Recurse(EnumState& state, size_t pos, size_t fresh_used) {
   if (pos == state.vars->size()) {
-    if (state.use_limit) {
-      if (state.remaining == 0) {
-        state.complete = false;
-        return false;
-      }
-      --state.remaining;
-    }
     if (!(*state.fn)(state.valuation)) {
       state.complete = false;
       return false;
@@ -92,8 +83,6 @@ bool ForEachSatisfyingValuation(
   state.fresh = FreshConstants(database, options.extra_constants, vars.size());
   state.global = &global;
   state.fn = &fn;
-  state.remaining = options.max_valuations;
-  state.use_limit = options.max_valuations != 0;
 
   // Position each global atom at the variable position where it becomes
   // fully assigned (ground atoms are checked up front).

@@ -10,12 +10,13 @@
 //
 // This enumeration is exponential in |X| (as the paper's lower bounds say it
 // must be, in the worst case); it is the reference oracle against which every
-// polynomial-time special case in src/decision/ is cross-validated.
+// polynomial-time special case in src/decision/ is cross-validated, and the
+// per-world oracle of the differential suite (certainty included). It stops
+// early only when the caller's callback returns false.
 
 #ifndef PW_TABLES_WORLD_ENUM_H_
 #define PW_TABLES_WORLD_ENUM_H_
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -32,9 +33,6 @@ struct WorldEnumOptions {
   /// world mentioning a constant outside Delta union these is enumerated
   /// only up to renaming of its fresh constants.
   std::vector<ConstId> extra_constants;
-
-  /// If nonzero, stop after this many satisfying valuations.
-  uint64_t max_valuations = 0;
 };
 
 /// Returns `count` fresh constants distinct from every constant of `database`
@@ -46,7 +44,7 @@ std::vector<ConstId> FreshConstants(const CDatabase& database,
 /// Invokes `fn` for one representative (per Delta'-renaming) of every
 /// valuation over Delta union Delta' that satisfies the combined global
 /// condition. `fn` returns false to stop early. Returns true iff the
-/// enumeration ran to completion (no early stop, no max_valuations cutoff).
+/// enumeration ran to completion (no early stop).
 bool ForEachSatisfyingValuation(const CDatabase& database,
                                 const WorldEnumOptions& options,
                                 const std::function<bool(const Valuation&)>& fn);

@@ -452,7 +452,7 @@ TEST(ParallelFixpointTest, MaterializedViewMaintainsIdenticallyInParallel) {
 
 TEST(SharedDDBackendStressTest, ThreadsAgreeOnEveryIdAndVerdict) {
   // Many threads drive one DDBackend over a shared interner through the
-  // same (And/Or/Implies/Satisfiable) workload in their own orders. Diagram
+  // same (And/Or/SatisfiableWith) workload in their own orders. Diagram
   // ids are hash-consed — a pure function of the operands — so every thread
   // must land on the SAME CondId for each combination and the same verdict
   // for each query, while the unique-table and op-cache insertions race.
@@ -472,7 +472,6 @@ TEST(SharedDDBackendStressTest, ThreadsAgreeOnEveryIdAndVerdict) {
     struct PairResult {
       CondId and_id;
       CondId or_id;
-      bool implies;
       bool sat_and;
     };
     std::vector<std::vector<PairResult>> results(
@@ -490,8 +489,8 @@ TEST(SharedDDBackendStressTest, ThreadsAgreeOnEveryIdAndVerdict) {
           PairResult r;
           r.and_id = dd.And(leaves[i], leaves[j]);
           r.or_id = dd.Or(leaves[i], leaves[j]);
-          r.implies = dd.Implies(leaves[i], leaves[j]);
-          r.sat_and = dd.Satisfiable(r.and_id);
+          r.sat_and = dd.SatisfiableWith(ConditionInterner::kTrueConj,
+                                         r.and_id);
           results[th][k] = r;
         }
       });
@@ -503,8 +502,6 @@ TEST(SharedDDBackendStressTest, ThreadsAgreeOnEveryIdAndVerdict) {
         ASSERT_EQ(results[th][k].and_id, results[0][k].and_id)
             << "thread " << th << " pair " << k;
         ASSERT_EQ(results[th][k].or_id, results[0][k].or_id)
-            << "thread " << th << " pair " << k;
-        ASSERT_EQ(results[th][k].implies, results[0][k].implies)
             << "thread " << th << " pair " << k;
         ASSERT_EQ(results[th][k].sat_and, results[0][k].sat_and)
             << "thread " << th << " pair " << k;

@@ -1,14 +1,17 @@
-// The ConditionBackend seam itself: disjunction-set normalization in the
-// conjunctive backend, node canonicity in the decision-diagram backend, and
-// implication memos keyed on the ordered pair that stay consistent across
-// RebaseInto generations.
+// The condition representations: the covering-antichain rule and the
+// disjunction check certainty asks (condition/atom_cnf.h), the antichain
+// backend's pass-through to the interner, node canonicity in the
+// decision-diagram backend, and implication memos keyed on the ordered pair
+// that stay consistent across RebaseInto generations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <vector>
 
+#include "condition/atom_cnf.h"
 #include "condition/backend.h"
 #include "condition/conjunction.h"
 #include "condition/dd_backend.h"
@@ -46,8 +49,9 @@ Conjunction RandomConjunction(std::mt19937& rng) {
 
 TEST(ConjunctiveBackendTest, NormalizesDisjunctionSets) {
   ConditionInterner interner;
-  std::unique_ptr<ConditionBackend> backend =
-      MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
+  constexpr ConjId kTrue = ConditionInterner::kTrueConj;
+  constexpr ConjId kFalse = ConditionInterner::kFalseConj;
+  using Ids = std::vector<ConjId>;
 
   ConjId weak = interner.Intern(Conjunction{Eq(V(0), C(1))});
   ConjId strong =
@@ -55,27 +59,41 @@ TEST(ConjunctiveBackendTest, NormalizesDisjunctionSets) {
   ConjId other = interner.Intern(Conjunction{Neq(V(0), C(1))});
 
   // True/false members collapse and drop.
-  EXPECT_EQ(backend->Or(weak, ConditionBackend::kTrueCond),
-            ConditionBackend::kTrueCond);
-  EXPECT_EQ(backend->Or(weak, ConditionBackend::kFalseCond), CondId{weak});
+  EXPECT_EQ(CoveringAntichain(interner, {weak, kTrue}), Ids{kTrue});
+  EXPECT_EQ(CoveringAntichain(interner, {weak, kFalse}), Ids{weak});
+  EXPECT_EQ(CoveringAntichain(interner, {kFalse}), Ids{});
   // A member implying another member is absorbed: the union IS the weak one.
-  EXPECT_EQ(backend->Or(weak, strong), CondId{weak});
-  // Proper two-member antichains hash-cons order-independently.
-  CondId ab = backend->Or(weak, other);
-  CondId ba = backend->Or(other, weak);
-  EXPECT_EQ(ab, ba);
-  EXPECT_NE(ab, CondId{weak});
-  // x0 = 1 together with x0 != 1 covers everything — a tautology the
-  // backend must detect without the caller expanding anything.
-  EXPECT_TRUE(backend->TautologyUnder(ConditionInterner::kTrueConj, ab));
-  // And distributes over the set; conjoining the weak member back restricts
-  // the union to it.
-  EXPECT_EQ(backend->And(ab, weak), CondId{weak});
+  EXPECT_EQ(CoveringAntichain(interner, {strong, weak}), Ids{weak});
+  // Proper two-member antichains come out sorted, whatever the input order.
+  Ids ab = CoveringAntichain(interner, {weak, other, weak});
+  EXPECT_EQ(ab, CoveringAntichain(interner, {other, weak}));
+  EXPECT_EQ(ab, (Ids{std::min(weak, other), std::max(weak, other)}));
+  // x0 = 1 together with x0 != 1 covers everything: a tautology that no
+  // single member implies, so only the clause search can see it.
+  EXPECT_TRUE(ConjImpliesDisjunction(interner, kTrue, ab));
+  EXPECT_FALSE(ConjImpliesDisjunction(interner, kTrue, {weak, strong}));
+  EXPECT_TRUE(ConjImpliesDisjunction(interner, strong, {other, weak}));
+  EXPECT_FALSE(ConjImpliesDisjunction(interner, kTrue, {}));
+  EXPECT_TRUE(ConjImpliesDisjunction(interner, kFalse, {}));
+
+  // The antichain backend holds no condition state of its own: ids are
+  // the interner's, and every operation is the interner's.
+  std::unique_ptr<ConditionBackend> backend =
+      MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
+  EXPECT_EQ(backend->FromConj(strong), CondId{strong});
+  EXPECT_EQ(backend->And(weak, other), CondId{interner.And(weak, other)});
+  EXPECT_FALSE(backend->SatisfiableWith(weak, other));
+  EXPECT_TRUE(backend->SatisfiableWith(weak, strong));
+  Ids disjuncts;
+  backend->AppendDisjuncts(ConditionBackend::kFalseCond, &disjuncts);
+  backend->AppendDisjuncts(weak, &disjuncts);
+  EXPECT_EQ(disjuncts, Ids{weak});
 }
 
 TEST(DDBackendTest, NodesAreCanonicalAndTheoryAware) {
   ConditionInterner interner;
   DDBackend dd(interner);
+  constexpr ConjId kTrue = ConditionInterner::kTrueConj;
 
   ConjId eq = interner.Intern(Conjunction{Eq(V(0), C(1))});
   ConjId neq = interner.Intern(Conjunction{Neq(V(0), C(1))});
@@ -87,19 +105,22 @@ TEST(DDBackendTest, NodesAreCanonicalAndTheoryAware) {
   CondId b = dd.FromConj(neq);
   EXPECT_EQ(dd.And(a, b), dd.And(b, a));
   EXPECT_EQ(dd.Or(a, b), dd.Or(b, a));
-  EXPECT_EQ(dd.Not(dd.Not(a)), a);
 
   // Propositionally `x0 = 1` and `x0 != 1` are distinct decision variables;
   // the theory layer must still see that together they are exhaustive and
   // exclusive.
-  EXPECT_TRUE(dd.TautologyUnder(ConditionInterner::kTrueConj, dd.Or(a, b)));
-  EXPECT_FALSE(dd.Satisfiable(dd.And(a, b)));
-  EXPECT_FALSE(dd.Satisfiable(dd.And(a, dd.Not(a))));
+  std::vector<ConjId> either;
+  dd.AppendDisjuncts(dd.Or(a, b), &either);
+  EXPECT_TRUE(ConjImpliesDisjunction(interner, kTrue, either));
+  EXPECT_FALSE(dd.SatisfiableWith(kTrue, dd.And(a, b)));
+  EXPECT_TRUE(dd.SatisfiableWith(kTrue, a));
+  EXPECT_FALSE(dd.SatisfiableWith(neq, a));
 
-  // Conjunction chains imply their sub-conjunctions, not vice versa.
+  // A conjunction chain absorbs its sub-conjunctions: the canonical ids
+  // show the implication without any theory reasoning.
   CondId ab = dd.FromConj(both);
-  EXPECT_TRUE(dd.Implies(ab, a));
-  EXPECT_FALSE(dd.Implies(a, ab));
+  EXPECT_EQ(dd.And(ab, a), ab);
+  EXPECT_EQ(dd.Or(ab, a), a);
 
   // The DNF expansion of a pure conjunction is that conjunction.
   std::vector<ConjId> disjuncts;

@@ -8,7 +8,6 @@
 #include "condition/binding_env.h"
 #include "condition/conjunction.h"
 #include "condition/formula.h"
-#include "condition/union_find.h"
 #include "core/tuple.h"
 
 namespace pw {
@@ -44,24 +43,6 @@ TEST(AtomTest, VariablesDeduplicated) {
   EXPECT_EQ(AtomVariables(Eq(V(3), V(3))), (std::vector<VarId>{3}));
   EXPECT_EQ(AtomVariables(Eq(V(1), V(2))).size(), 2u);
   EXPECT_TRUE(AtomVariables(Eq(C(1), C(2))).empty());
-}
-
-TEST(UnionFindTest, BasicUnions) {
-  UnionFind uf(4);
-  EXPECT_FALSE(uf.Same(0, 1));
-  EXPECT_TRUE(uf.Union(0, 1));
-  EXPECT_TRUE(uf.Same(0, 1));
-  EXPECT_FALSE(uf.Union(0, 1));
-  uf.Union(2, 3);
-  uf.Union(1, 2);
-  EXPECT_TRUE(uf.Same(0, 3));
-}
-
-TEST(UnionFindTest, AddGrows) {
-  UnionFind uf(1);
-  int id = uf.Add();
-  EXPECT_EQ(id, 1);
-  EXPECT_FALSE(uf.Same(0, 1));
 }
 
 TEST(ConjunctionTest, EmptyIsTautologyAndSatisfiable) {

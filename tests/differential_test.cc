@@ -54,25 +54,27 @@
 //     evaluated over the maintained output as a nested downstream consumer.
 //
 //  7. Condition algebra — randomized And/Or expression trees over random
-//     interned conjunctions pushed through BOTH condition backends (the
-//     conjunctive antichain and the decision-diagram backend) side by side:
-//     every Satisfiable/SatisfiableWith/Implies/TautologyUnder verdict and
-//     the AppendDisjuncts DNF expansions must agree between the backends
-//     and with a small-model enumeration oracle (valuations over the
+//     interned conjunctions pushed through the decision-diagram backend:
+//     its SatisfiableWith verdicts and AppendDisjuncts DNF expansions must
+//     agree with a small-model enumeration oracle (valuations over the
 //     mentioned constants plus one fresh value per variable — complete for
-//     boolean combinations of =/!= atoms over the infinite domain).
+//     boolean combinations of =/!= atoms over the infinite domain), and the
+//     disjunction check certainty asks (ConjImpliesDisjunction, on the
+//     expansion and on its covering antichain) must decide validity,
+//     tautology under a global condition and pairwise implication as the
+//     oracle does.
 //
 //  8. Decision-diagram fixpoints — the conditioned DATALOG fixpoint on the
 //     decision-diagram backend must represent the same worlds as the
 //     antichain backend's fixpoint, and must satisfy the per-world oracle
 //     directly.
 //
-//  9. Certainty across backends — CertainFactInTable must return, through
-//     both backends (the DD tautology check and the exact backtracking
-//     disjunction check), the verdict of the per-world oracle: the fact is
-//     in every enumerated world. ExistsWorldOtherThan, which decides its
-//     per-fact half through CertainFactInTable, must agree with the same
-//     worlds: some world differs from the instance.
+//  9. Certainty — CertainFactInTable (the one certainty question: the
+//     global condition implies the disjunction of the fact's per-row
+//     alternatives) must return the verdict of the per-world oracle: the
+//     fact is in every enumerated world. ExistsWorldOtherThan, which decides
+//     its per-fact half through CertainFactInTable, must agree with the
+//     same worlds: some world differs from the instance.
 //
 // 10. Containment of views — for random positive existential lhs views over
 //     one or two random c-tables and random e-table or i-table rhs, the
@@ -104,7 +106,9 @@
 #include <string>
 #include <vector>
 
+#include "condition/atom_cnf.h"
 #include "condition/backend.h"
+#include "condition/dd_backend.h"
 #include "datalog/eval.h"
 #include "datalog/ivm.h"
 #include "decision/certainty.h"
@@ -588,16 +592,15 @@ bool MatchesBindings(const Fact& fact,
 }
 
 /// Asserts that a magic-set goal answer equals the restricted full fixpoint
-/// (use_magic = false): row-identical on the antichain backend, per-world on
-/// the decision-diagram backend (see MagicDifferentialTest).
+/// (testutil::RestrictedFullFixpoint): row-identical on the antichain
+/// backend, per-world on the decision-diagram backend (see
+/// MagicDifferentialTest).
 void ExpectMagicMatchesFull(const DatalogProgram& program, const CDatabase& db,
                             int goal,
                             const std::vector<std::optional<ConstId>>& bindings,
                             const CTable& via_magic, const std::string& label) {
-  DatalogCTableOptions full;
-  full.use_magic = false;
   CTable via_full =
-      DatalogQueryOnCTables(program, db, goal, bindings, nullptr, full);
+      testutil::RestrictedFullFixpoint(program, db, goal, bindings);
   if (ResolveConditionBackendKind(ConditionBackendKind::kDefault) ==
       ConditionBackendKind::kDecisionDiagrams) {
     std::vector<ConstId> extra;
@@ -1342,9 +1345,9 @@ class ConditionAlgebraDifferentialTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
-  // Random And/Or trees over random conjunction leaves, built through both
-  // backends in lockstep; every verdict the fixpoint and the decision
-  // procedures rely on is compared between the backends and against the
+  // Random And/Or trees over random conjunction leaves, built through the
+  // decision-diagram backend; every verdict the fixpoint relies on, and the
+  // disjunction check certainty relies on, is compared against the
   // brute-force oracle. The oracle enumerates valuations over the mentioned
   // constants (0..2) plus one fresh value per variable — complete for
   // boolean combinations of =/!= atoms over the infinite domain, because
@@ -1355,10 +1358,7 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
   std::mt19937 rng(case_seed);
 
   ConditionInterner interner;
-  std::unique_ptr<ConditionBackend> anti =
-      MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
-  std::unique_ptr<ConditionBackend> dd =
-      MakeConditionBackend(ConditionBackendKind::kDecisionDiagrams, interner);
+  DDBackend dd(interner);
 
   constexpr int kVars = 3;
   const std::vector<ConstId> domain = {0, 1, 2, 100, 101, 102};
@@ -1381,15 +1381,14 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
   };
 
   struct Expr {
-    CondId anti;
     CondId dd;
     std::vector<bool> truth;
+    std::vector<ConjId> expansion;  // AppendDisjuncts(dd)
   };
   std::vector<Expr> exprs;
   for (int i = 0; i < 6; ++i) {
     ConjId leaf = interner.Intern(RandomAlgebraConjunction(rng));
-    exprs.push_back(
-        {anti->FromConj(leaf), dd->FromConj(leaf), truth_of_conj(leaf)});
+    exprs.push_back({dd.FromConj(leaf), truth_of_conj(leaf), {}});
   }
   std::uniform_int_distribution<int> coin(0, 1);
   for (int step = 0; step < 10; ++step) {
@@ -1398,8 +1397,7 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
     Expr b = exprs[pick(rng)];
     bool is_and = coin(rng) == 0;
     Expr out;
-    out.anti = is_and ? anti->And(a.anti, b.anti) : anti->Or(a.anti, b.anti);
-    out.dd = is_and ? dd->And(a.dd, b.dd) : dd->Or(a.dd, b.dd);
+    out.dd = is_and ? dd.And(a.dd, b.dd) : dd.Or(a.dd, b.dd);
     out.truth.resize(valuations.size());
     for (size_t k = 0; k < valuations.size(); ++k) {
       out.truth[k] =
@@ -1413,7 +1411,7 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
 
   for (size_t i = 0; i < exprs.size(); ++i) {
     SCOPED_TRACE("expr #" + std::to_string(i));
-    const Expr& e = exprs[i];
+    Expr& e = exprs[i];
     bool oracle_sat = false;
     bool oracle_sat_with = false;
     bool oracle_valid = true;
@@ -1424,40 +1422,39 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
       oracle_valid = oracle_valid && e.truth[k];
       oracle_taut = oracle_taut && (!global_truth[k] || e.truth[k]);
     }
-    EXPECT_EQ(anti->Satisfiable(e.anti), oracle_sat);
-    EXPECT_EQ(dd->Satisfiable(e.dd), oracle_sat);
-    EXPECT_EQ(anti->SatisfiableWith(global, e.anti), oracle_sat_with);
-    EXPECT_EQ(dd->SatisfiableWith(global, e.dd), oracle_sat_with);
-    EXPECT_EQ(anti->TautologyUnder(global, e.anti), oracle_taut);
-    EXPECT_EQ(dd->TautologyUnder(global, e.dd), oracle_taut);
-    EXPECT_EQ(
-        anti->TautologyUnder(ConditionInterner::kTrueConj, e.anti),
-        oracle_valid);
-    EXPECT_EQ(dd->TautologyUnder(ConditionInterner::kTrueConj, e.dd),
-              oracle_valid);
+    EXPECT_EQ(dd.SatisfiableWith(ConditionInterner::kTrueConj, e.dd),
+              oracle_sat);
+    EXPECT_EQ(dd.SatisfiableWith(global, e.dd), oracle_sat_with);
 
-    // The DNF expansions must represent exactly the expression's function.
-    const std::pair<ConditionBackend*, CondId> sides[] = {
-        {anti.get(), e.anti}, {dd.get(), e.dd}};
-    for (const auto& [backend, id] : sides) {
-      std::vector<ConjId> disjuncts;
-      backend->AppendDisjuncts(id, &disjuncts);
-      for (size_t k = 0; k < valuations.size(); ++k) {
-        bool holds = false;
-        for (ConjId d : disjuncts) {
-          if (ConjHolds(interner, d, valuations[k])) {
-            holds = true;
-            break;
-          }
+    // The DNF expansion must represent exactly the expression's function.
+    dd.AppendDisjuncts(e.dd, &e.expansion);
+    for (size_t k = 0; k < valuations.size(); ++k) {
+      bool holds = false;
+      for (ConjId d : e.expansion) {
+        if (ConjHolds(interner, d, valuations[k])) {
+          holds = true;
+          break;
         }
-        ASSERT_EQ(holds, static_cast<bool>(e.truth[k]))
-            << backend->name() << " DNF expansion diverged at valuation " << k;
       }
+      ASSERT_EQ(holds, static_cast<bool>(e.truth[k]))
+          << "dd DNF expansion diverged at valuation " << k;
     }
+
+    // The certainty question on that expansion, as is and reduced to its
+    // covering antichain (the form CertainFactInTable asks).
+    const std::vector<ConjId> antichain =
+        CoveringAntichain(interner, e.expansion);
+    EXPECT_EQ(ConjImpliesDisjunction(interner, global, e.expansion),
+              oracle_taut);
+    EXPECT_EQ(ConjImpliesDisjunction(interner, global, antichain),
+              oracle_taut);
+    EXPECT_EQ(ConjImpliesDisjunction(interner, ConditionInterner::kTrueConj,
+                                     e.expansion),
+              oracle_valid);
   }
 
-  // Implication over every ordered pair — the antichain's subsumption
-  // verdict and the diagram's refutation check against the oracle.
+  // Implication over every ordered pair: each disjunct of the lhs expansion
+  // must imply the disjunction of the rhs expansion.
   for (size_t i = 0; i < exprs.size(); ++i) {
     for (size_t j = 0; j < exprs.size(); ++j) {
       bool oracle_implies = true;
@@ -1465,10 +1462,13 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
         oracle_implies =
             oracle_implies && (!exprs[i].truth[k] || exprs[j].truth[k]);
       }
-      EXPECT_EQ(anti->Implies(exprs[i].anti, exprs[j].anti), oracle_implies)
-          << "antichain Implies diverged on pair (" << i << ", " << j << ")";
-      EXPECT_EQ(dd->Implies(exprs[i].dd, exprs[j].dd), oracle_implies)
-          << "dd Implies diverged on pair (" << i << ", " << j << ")";
+      bool implies = std::all_of(
+          exprs[i].expansion.begin(), exprs[i].expansion.end(),
+          [&](ConjId d) {
+            return ConjImpliesDisjunction(interner, d, exprs[j].expansion);
+          });
+      EXPECT_EQ(implies, oracle_implies)
+          << "disjunction check diverged on pair (" << i << ", " << j << ")";
     }
   }
 }
@@ -1520,7 +1520,7 @@ TEST_P(DDFixpointDifferentialTest, StrategiesConfluentAndWorldsMatch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DDFixpointDifferentialTest,
                          ::testing::Range(0, 15));
 
-// --- Family 9: certainty across backends -----------------------------------
+// --- Family 9: certainty ----------------------------------------------------
 
 class CertaintyBackendDifferentialTest : public ::testing::TestWithParam<int> {
 };
@@ -1547,41 +1547,50 @@ CTable CertaintyCaseTable(int param, std::mt19937& rng) {
   return RandomCTable(options, rng);
 }
 
+/// `t` plus, for each row with a local condition, a sibling row with the
+/// same tuple under the negation of the row's first local atom. A fact such
+/// a pair produces is certain through the disjunction of the two rows'
+/// alternatives while neither alternative alone is implied, so only the
+/// clause search can find it certain.
+CTable WithComplementedRows(const CTable& t) {
+  CTable out = t;
+  for (const CRow& row : t.rows()) {
+    if (row.local().atoms().empty()) continue;
+    out.AddRow(row.tuple, Conjunction{Negate(row.local().atoms().front())});
+  }
+  return out;
+}
+
 TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
-  // CertainFactInTable decides `global -> OR over matching rows` — through
-  // the DD backend as one Not/And/Satisfiable pass, through the conjunctive
-  // backend as the exact backtracking disjunction check. Both must agree
-  // with the per-world oracle on every candidate fact (present,
-  // conditioned, and absent ones alike).
+  // CertainFactInTable decides `global -> OR over matching rows` with one
+  // clause search over the covering antichain of the rows' alternatives.
+  // It must agree with the per-world oracle on every candidate fact
+  // (present, conditioned, and absent ones alike), on the random table and
+  // on its complemented variant. The verdict does not depend on
+  // PW_CONDITION_BACKEND, which only chooses the fixpoint's rows.
   const unsigned case_seed = 13000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
   for (int round = 0; round < 3; ++round) {
-    CTable t = CertaintyCaseTable(GetParam(), rng);
-    std::vector<Instance> worlds = CertaintyOracleWorlds(CDatabase{t});
+    CTable random = CertaintyCaseTable(GetParam(), rng);
+    for (const CTable& t : {random, WithComplementedRows(random)}) {
+      std::vector<Instance> worlds = CertaintyOracleWorlds(CDatabase{t});
 
-    ConditionInterner interner;
-    std::unique_ptr<ConditionBackend> anti =
-        MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
-    std::unique_ptr<ConditionBackend> dd =
-        MakeConditionBackend(ConditionBackendKind::kDecisionDiagrams, interner);
-    ConjId global = t.GlobalId(interner);
+      ConditionInterner interner;
+      ConjId global = t.GlobalId(interner);
 
-    for (ConstId a = 0; a <= 3; ++a) {
-      for (ConstId b = 0; b <= 3; ++b) {
-        Fact fact{a, b};
-        bool in_every_world =
-            std::all_of(worlds.begin(), worlds.end(), [&](const Instance& w) {
-              return w.relation(0).Contains(fact);
-            });
-        EXPECT_EQ(CertainFactInTable(t, fact, global, *anti), in_every_world)
-            << "antichain certainty diverged from the per-world oracle on ("
-            << a << ", " << b << ") in\n"
-            << FormatCTable(t);
-        EXPECT_EQ(CertainFactInTable(t, fact, global, *dd), in_every_world)
-            << "dd certainty diverged from the per-world oracle on (" << a
-            << ", " << b << ") in\n"
-            << FormatCTable(t);
+      for (ConstId a = 0; a <= 3; ++a) {
+        for (ConstId b = 0; b <= 3; ++b) {
+          Fact fact{a, b};
+          bool in_every_world = std::all_of(
+              worlds.begin(), worlds.end(),
+              [&](const Instance& w) { return w.relation(0).Contains(fact); });
+          EXPECT_EQ(CertainFactInTable(t, fact, global, interner),
+                    in_every_world)
+              << "certainty diverged from the per-world oracle on (" << a
+              << ", " << b << ") in\n"
+              << FormatCTable(t);
+        }
       }
     }
   }

@@ -245,19 +245,16 @@ TEST(MagicRewriteTest, ExtensionalGoalNeedsNoRules) {
   EXPECT_EQ(rewrite.magic_begin, program.num_predicates());
 }
 
-/// Magic and full paths of DatalogQueryOnCTables must return identical row
-/// sets (same tuples, interned-id-identical conditions).
+/// DatalogQueryOnCTables and the restricted full fixpoint must return
+/// identical row sets (same tuples, interned-id-identical conditions).
 void ExpectMagicMatchesFull(const DatalogProgram& program, const CDatabase& db,
                             int goal, const Bindings& bindings) {
-  DatalogCTableOptions magic;
-  DatalogCTableOptions full;
-  full.use_magic = false;
   ConditionedFixpointStats magic_stats;
   ConditionedFixpointStats full_stats;
   CTable via_magic =
-      DatalogQueryOnCTables(program, db, goal, bindings, &magic_stats, magic);
-  CTable via_full =
-      DatalogQueryOnCTables(program, db, goal, bindings, &full_stats, full);
+      DatalogQueryOnCTables(program, db, goal, bindings, &magic_stats);
+  CTable via_full = testutil::RestrictedFullFixpoint(program, db, goal,
+                                                     bindings, &full_stats);
   EXPECT_EQ(RowsWithIds(via_magic), RowsWithIds(via_full))
       << program.ToString() << db.ToString();
   EXPECT_EQ(via_magic.global(), via_full.global());
@@ -291,9 +288,7 @@ TEST(DatalogQueryTest, RecursiveTransitiveClosurePointQuery) {
   EXPECT_EQ(magic_stats.rules_adorned, 2u);
   EXPECT_GT(magic_stats.magic_facts, 0u);
   ConditionedFixpointStats full_stats;
-  DatalogCTableOptions full;
-  full.use_magic = false;
-  DatalogQueryOnCTables(tc, db, 1, bindings, &full_stats, full);
+  testutil::RestrictedFullFixpoint(tc, db, 1, bindings, &full_stats);
   EXPECT_LT(magic_stats.derived_rows, full_stats.derived_rows);
 
   ExpectMagicMatchesFull(tc, db, 1, bindings);
@@ -453,8 +448,8 @@ TEST(DatalogQueryTest, ExtensionalGoalIsRestrictedInput) {
 
 #ifdef NDEBUG
 TEST(DatalogQueryTest, InvalidGoalAnswersEmpty) {
-  // An out-of-range goal predicate and bindings of the wrong size: both
-  // paths answer with an empty arity-0 table and zeroed stats, instead of
+  // An out-of-range goal predicate and bindings of the wrong size: the
+  // query answers with an empty arity-0 table and zeroed stats, instead of
   // indexing past the program or reading a short binding as free. (Debug
   // builds assert instead, so this only runs under NDEBUG.)
   DatalogProgram tc = testutil::RightRecursiveTc();
@@ -462,22 +457,18 @@ TEST(DatalogQueryTest, InvalidGoalAnswersEmpty) {
   e.AddRow(Tuple{C(0), C(1)});
   e.AddRow(Tuple{C(1), V(0)});
   CDatabase db{e};
-  DatalogCTableOptions full;
-  full.use_magic = false;
-  for (const DatalogCTableOptions& options : {DatalogCTableOptions{}, full}) {
-    for (const DatalogGoal& goal :
-         {DatalogGoal{2, Bindings{ConstId{0}, std::nullopt}},
-          DatalogGoal{-1, Bindings{ConstId{0}, std::nullopt}},
-          DatalogGoal{1, Bindings{ConstId{0}, std::nullopt, ConstId{7}}},
-          DatalogGoal{1, Bindings{std::nullopt}}}) {
-      ConditionedFixpointStats stats;
-      stats.derived_rows = 99;
-      CTable result = DatalogQueryOnCTables(tc, db, goal.predicate,
-                                            goal.bindings, &stats, options);
-      EXPECT_EQ(result.arity(), 0);
-      EXPECT_EQ(result.num_rows(), 0u);
-      EXPECT_EQ(stats.derived_rows, 0u);
-    }
+  for (const DatalogGoal& goal :
+       {DatalogGoal{2, Bindings{ConstId{0}, std::nullopt}},
+        DatalogGoal{-1, Bindings{ConstId{0}, std::nullopt}},
+        DatalogGoal{1, Bindings{ConstId{0}, std::nullopt, ConstId{7}}},
+        DatalogGoal{1, Bindings{std::nullopt}}}) {
+    ConditionedFixpointStats stats;
+    stats.derived_rows = 99;
+    CTable result =
+        DatalogQueryOnCTables(tc, db, goal.predicate, goal.bindings, &stats);
+    EXPECT_EQ(result.arity(), 0);
+    EXPECT_EQ(result.num_rows(), 0u);
+    EXPECT_EQ(stats.derived_rows, 0u);
   }
 }
 #endif
@@ -534,8 +525,6 @@ TEST(DatalogQueryTest, MagicJoinWorkStaysNearTheFullFixpoint) {
   // must stay at or below the full fixpoint's (it is about 2-6% of it).
   DatalogProgram tc = testutil::RightRecursiveTc();
   CDatabase db = testutil::NullRoutedDag(60);
-  DatalogCTableOptions full;
-  full.use_magic = false;
   const std::vector<ConstId> sources = {0, 15, 20, 35, 45};
   std::vector<CTable> answers;
   for (ConstId s : sources) {
@@ -543,8 +532,8 @@ TEST(DatalogQueryTest, MagicJoinWorkStaysNearTheFullFixpoint) {
     ConditionedFixpointStats full_stats;
     CTable via_magic =
         DatalogQueryOnCTables(tc, db, 1, {s, std::nullopt}, &magic_stats);
-    CTable via_full = DatalogQueryOnCTables(tc, db, 1, {s, std::nullopt},
-                                            &full_stats, full);
+    CTable via_full = testutil::RestrictedFullFixpoint(
+        tc, db, 1, {s, std::nullopt}, &full_stats);
     EXPECT_EQ(RowsWithIds(via_magic), RowsWithIds(via_full)) << "source " << s;
     size_t magic_work = magic_stats.index_hits + magic_stats.pruned_branches;
     size_t full_work = full_stats.index_hits + full_stats.pruned_branches;

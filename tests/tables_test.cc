@@ -253,23 +253,6 @@ TEST(WorldEnumTest, ExtraConstantsWidenDelta) {
   EXPECT_EQ(CountDistinctWorlds(db, options), 3u);
 }
 
-TEST(WorldEnumTest, MaxValuationsStopsEarly) {
-  CTable t(1);
-  t.AddRow(Tuple{V(0)});
-  t.AddRow(Tuple{V(1)});
-  CDatabase db{t};
-  WorldEnumOptions options;
-  options.max_valuations = 1;
-  int seen = 0;
-  bool complete = ForEachWorld(db, options,
-                               [&seen](const Instance&, const Valuation&) {
-                                 ++seen;
-                                 return true;
-                               });
-  EXPECT_FALSE(complete);
-  EXPECT_EQ(seen, 1);
-}
-
 TEST(WorldEnumTest, EarlyStopByCallback) {
   CTable t(1);
   t.AddRow(Tuple{V(0)});

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "core/tuple.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
+#include "ilalgebra/datalog_ctable.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "tables/ctable.h"
@@ -150,6 +152,23 @@ inline CDatabase NullRoutedDag(int n) {
     t.AddRow(Tuple{V(0), C(k * n / 3 + 3)});
   }
   return CDatabase{t};
+}
+
+/// The reference a magic-set goal answer (DatalogQueryOnCTables) must equal:
+/// the full conditioned fixpoint's `goal` table restricted to `bindings`,
+/// with the combined global condition attached. The global is interned
+/// before the fixpoint runs, in the order the goal query interns it.
+inline CTable RestrictedFullFixpoint(
+    const DatalogProgram& program, const CDatabase& db, int goal,
+    const std::vector<std::optional<ConstId>>& bindings,
+    ConditionedFixpointStats* stats = nullptr) {
+  ConditionInterner& interner = ConditionInterner::Global();
+  ConjId global_id = db.CombinedGlobalId(interner);
+  CDatabase full = DatalogOnCTables(program, db, stats);
+  CTable out = RestrictTableToGoal(full.table(static_cast<size_t>(goal)),
+                                   bindings, global_id, interner);
+  out.SetGlobal(db.CombinedGlobal(), global_id, interner);
+  return out;
 }
 
 /// Renders a world canonically up to renaming of constants outside `known`:

@@ -38,7 +38,7 @@ TEST(UpdatesTest, DeleteGuardsVariableRow) {
   CTable deleted = DeleteFact(t, Fact{5});
   // Worlds: {c} for c != 5, and {} (when x = 5).
   for (const Instance& w :
-       EnumerateWorlds(CDatabase{deleted}, {{5}, 0})) {
+       EnumerateWorlds(CDatabase{deleted}, {{5}})) {
     EXPECT_FALSE(w.relation(0).Contains(Fact{5}));
   }
 }
@@ -120,7 +120,7 @@ TEST(UpdatesTest, DeleteDedupesCollapsedSiblingGuards) {
   t.AddRow(Tuple{V(0), V(0)});
   CTable pruned = DeleteFact(t, Fact{1, 1});
   EXPECT_EQ(pruned.num_rows(), 1u);
-  for (const Instance& w : EnumerateWorlds(CDatabase{pruned}, {{1}, 0})) {
+  for (const Instance& w : EnumerateWorlds(CDatabase{pruned}, {{1}})) {
     EXPECT_FALSE(w.relation(0).Contains(Fact{1, 1}));
   }
 }

@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "condition/backend.h"
 #include "condition/interner.h"
 #include "decision/certainty.h"
 #include "decision/view.h"
@@ -18,9 +15,7 @@ namespace {
 /// Is `fact` missing from some world of the one-table database `t`?
 bool MissingSomewhere(const CTable& t, const Fact& fact) {
   ConditionInterner interner;
-  std::unique_ptr<ConditionBackend> backend =
-      MakeConditionBackend(ConditionBackendKind::kDefault, interner);
-  return !CertainFactInTable(t, fact, t.GlobalId(interner), *backend);
+  return !CertainFactInTable(t, fact, t.GlobalId(interner), interner);
 }
 
 TEST(ViewTest, IdentityEval) {

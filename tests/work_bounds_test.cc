@@ -2,7 +2,8 @@
 //
 // Each case runs one benchmark shape (bench/ext_conditioned_datalog.cc,
 // bench/join_index.cc, bench/thm52_bounded_possibility.cc,
-// bench/sat_core.cc) at its largest CI smoke size and asserts the stats
+// bench/sat_core.cc, and the end-to-end view_maintenance workload's
+// conditioned transitive closure) at a fixed size and asserts the stats
 // counters of the one evaluation path:
 //
 //   - mechanism floors: the index is probed, the semi-naive deltas derive
@@ -12,6 +13,10 @@
 //   - work ceilings: join work (index hits plus pruned branches, or pairs
 //     enumerated) and row work (derived plus subsumed rows) stay within 1.25x
 //     of the values measured when these bounds were set;
+//   - IVM work ceilings: over a fixed insert/delete stream, the rows
+//     over-deleted, the cone rebuilds, and the fixpoint's derived rows and
+//     index builds stay within 1.25x of the measured values, so a delete
+//     that clears or re-derives more than it does today fails;
 //   - SAT work ceilings: conflicts, decisions, propagations and watch-list
 //     visits of the CDCL core, also within 1.25x of the measured values. On
 //     the pure-propagation chain the watch-visit ceiling is linear in the
@@ -34,6 +39,7 @@
 
 #include "condition/backend.h"
 #include "condition/interner.h"
+#include "datalog/ivm.h"
 #include "datalog/program.h"
 #include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
@@ -230,6 +236,52 @@ TEST(WorkBoundsTest, CascadeFiresOneStratumPerScc) {
   EXPECT_LE(s.duplicate_rows, 2070u);  // measured 1656
   EXPECT_LE(JoinWork(s), 2415u);       // measured 1932
   EXPECT_LE(RowWork(s), 2655u);        // measured 2124
+}
+
+// --- Maintained views (perfbench view_maintenance) ---------------------------
+
+TEST(WorkBoundsTest, IvmDeleteStreamWorkStaysBounded) {
+  // A full view of the transitive closure over the 30-node null-routed DAG
+  // (the end-to-end view workload's shape), driven through a fixed stream:
+  // deletes of ground edges, of a just-inserted edge and of facts that the
+  // null-routed rows can produce (which split those rows into guarded
+  // replacements), between plain and conditional inserts. Every such delete
+  // left a live trace, so it over-deletes the tc cone and re-derives it.
+  // Three more deletes hit only a row whose condition contradicts the
+  // global one (x9 = 1 against x9 = 0): never seeded, it left no trace, so
+  // the covered fast path absorbs each delete with no rebuild.
+  CDatabase db = testutil::NullRoutedDag(30);
+  CTable& edges = db.mutable_table(0);
+  edges.SetGlobal(Conjunction{Eq(V(9), C(0))});
+  for (int k = 0; k < 3; ++k) {
+    edges.AddRow(Tuple{V(5 + k), C(29 - k)}, Conjunction{Eq(V(9), C(1))});
+  }
+  ConditionInterner interner;
+  MaterializedViewOptions options;
+  options.eval.interner = &interner;
+  options.eval.condition_backend = ConditionBackendKind::kConjunctions;
+  MaterializedView view(TransitiveClosure(), std::move(db), options);
+  view.Delete(0, Fact{0, 1});
+  view.Insert(0, Fact{0, 1});
+  view.Delete(0, Fact{25, 29});  // covered
+  view.Insert(0, Fact{5, 29});
+  view.Delete(0, Fact{5, 29});
+  view.Delete(0, Fact{10, 13});  // (10, ?x) and (?x, 13)
+  view.Delete(0, Fact{24, 28});  // covered
+  view.Delete(0, Fact{20, 23});
+  EXPECT_TRUE(view.InsertIf(0, Fact{2, 26}, Conjunction{Neq(V(0), C(13))}));
+  view.Delete(0, Fact{12, 13});
+  view.Delete(0, Fact{2, 26});
+  view.Delete(0, Fact{23, 27});  // covered
+  view.Insert(0, Fact{26, 3});
+  view.Delete(0, Fact{3, 4});
+  IvmStats s = view.stats();
+  EXPECT_EQ(s.updates_applied, 14u);
+  EXPECT_EQ(s.deletes_covered, 3u);
+  EXPECT_LE(s.cone_rebuilds, 8u);              // measured 7
+  EXPECT_LE(s.rows_overdeleted, 12137u);       // measured 9710
+  EXPECT_LE(s.fixpoint.derived_rows, 22903u);  // measured 18323
+  EXPECT_LE(s.fixpoint.index_builds, 13u);     // measured 11
 }
 
 // --- Planned joins (bench/join_index.cc) ------------------------------------
